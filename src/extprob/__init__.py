@@ -7,7 +7,7 @@ standard measures, and probability measures valued in an ordered field
 with infinitesimals.
 """
 
-from .belief import BeliefQuery, believes
+from .belief import believes
 from .field import EPS, ONE, ZERO, EpsPolynomial, NonstdNumber, eps_power, st_ratio
 from .fincof import FinCofEvent, fincof_cond, fincof_nps_value, sampled_axiom_check
 from .independence import (
@@ -51,7 +51,6 @@ __all__ = [
     "EPS",
     "ONE",
     "ZERO",
-    "BeliefQuery",
     "Decomposition",
     "EpsPolynomial",
     "EquivCertificate",

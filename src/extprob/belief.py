@@ -13,7 +13,6 @@ belief is mass exactly one, weak belief mass with standard part one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import KindMismatchError
@@ -24,13 +23,6 @@ from .spaces import Event, NonstdMeasure
 LPS_KINDS = ("certain", "weak", "assumed")
 POPPER_KINDS = ("popper-strong", "popper-weak")
 NPS_KINDS = ("nps-certain", "nps-weak")
-
-
-@dataclass(frozen=True)
-class BeliefQuery:
-    model: object
-    event: Event
-    kind: str
 
 
 def believes(model, event: Event, kind: str) -> tuple[bool, Optional[int]]:
@@ -52,10 +44,6 @@ def believes(model, event: Event, kind: str) -> tuple[bool, Optional[int]]:
             raise KindMismatchError(f"{kind} belief needs a NonstdMeasure model")
         return _nps_belief(model, event, kind)
     raise KindMismatchError(f"unknown belief kind {kind!r}")
-
-
-def query(q: BeliefQuery) -> tuple[bool, Optional[int]]:
-    return believes(q.model, q.event, q.kind)
 
 
 def _lps_belief(model: LPS, event: Event, kind: str):

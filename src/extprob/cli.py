@@ -38,14 +38,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import jsonio
 from .belief import LPS_KINDS, NPS_KINDS, POPPER_KINDS, believes
 from .errors import ExtprobError
 from .fixtures import FIXTURES, run_fixture
 from .independence import approx_indep_set, indep_events, verify_indep_witness, weak_indep
-from .lps import equivalence, reduce_lps
+from .lps import LPS, equivalence, reduce_lps
 from .npsbridge import nps_equiv, nps_to_lps, nps_to_popper, lps_to_nps
 from .popper import popper_to_slps, slps_to_popper, treelike_to_lps
 from .spaces import validate_space
@@ -78,18 +77,16 @@ def _load(path, expected=None):
 
 
 def _check_measure(path, obj):
-    report = validate_space(obj.algebra, [obj])
-    if not report.is_valid:
-        raise _BadInput(f"{path}: " + "; ".join(report.findings))
+    """Reject a measure, or a system with a level, that breaks its invariants."""
+    for m in obj.measures if isinstance(obj, LPS) else (obj,):
+        report = validate_space(m.algebra, [m])
+        if not report.is_valid:
+            raise _BadInput(f"{path}: " + "; ".join(report.findings))
     return obj
 
 
 def _load_measure(path):
     type_name, obj = _load(path, ("std_measure", "nonstd_measure", "lps"))
-    if type_name == "lps":
-        for m in obj.measures:
-            _check_measure(path, m)
-        return type_name, obj
     return type_name, _check_measure(path, obj)
 
 
@@ -97,13 +94,15 @@ def _load_rv(path):
     return _load(path, ("random_variable",))[1]
 
 
-def _parse_indices(text):
-    if text.strip() == "":
-        return frozenset()
+def _parse_event(algebra, text):
     try:
-        return frozenset(int(tok) for tok in text.split(","))
+        indices = [int(tok) for tok in text.split(",")] if text.strip() else []
     except ValueError:
         raise _BadInput(f"bad event index list {text!r}") from None
+    try:
+        return algebra.event(indices)
+    except ValueError as exc:
+        raise _BadInput(f"{exc} (the space has {algebra.n_atoms} atoms)") from None
 
 
 def _emit(lines, out_doc=None, out_path=None):
@@ -161,11 +160,7 @@ def cmd_convert(args):
         raise _BadInput(f"no conversion from {args.source} to {args.target}")
     _, obj = _load(args.infile, _SOURCE_TYPES[args.source])
     if args.source in ("lps", "nps"):
-        if args.source == "lps":
-            for m in obj.measures:
-                _check_measure(args.infile, m)
-        else:
-            _check_measure(args.infile, obj)
+        _check_measure(args.infile, obj)
     try:
         result = _CONVERSIONS[route](obj)
     except ExtprobError as exc:
@@ -221,13 +216,9 @@ def cmd_indep(args):
             type_name, model = _load_measure(args.measure)
             if type_name != "nonstd_measure":
                 raise _BadInput(f"{args.mode} mode needs a nonstd_measure")
-        u = model.algebra.event(_parse_indices(args.u))
-        v = model.algebra.event(_parse_indices(args.v))
-        given = (
-            model.algebra.event(_parse_indices(args.given))
-            if args.given is not None
-            else None
-        )
+        u = _parse_event(model.algebra, args.u)
+        v = _parse_event(model.algebra, args.v)
+        given = _parse_event(model.algebra, args.given) if args.given is not None else None
         holds = indep_events(model, u, v, given, mode=args.mode)
         if not holds:
             raise _Negative([f"independent ({args.mode}): false"])
@@ -261,14 +252,12 @@ def _load_witness(path, kind):
         raise _BadInput(f"{path}: witness kind {doc.get('kind')!r} does not match {kind}")
     try:
         if kind == "bbd-r":
-            return [
-                [Fraction(w) for w in vec] for vec in doc["weights"]
-            ]
+            return [[jsonio.parse_rational(w) for w in vec] for vec in doc["weights"]]
         if kind in ("bbd-nps", "kr-nps"):
             return jsonio.parse_nonstd_measure(doc["measure"])
         if kind == "kr-seq":
             return [jsonio.parse_std_measure(m) for m in doc["measures"]]
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise _BadInput(f"{path}: {exc}") from None
     raise _BadInput(f"unknown witness kind {kind!r}")
 
@@ -293,7 +282,7 @@ def cmd_believe(args):
     if args.kind not in expected:
         raise _BadInput(f"unknown belief kind {args.kind!r}")
     _, model = _load(args.model, expected[args.kind])
-    event = model.algebra.event(_parse_indices(args.event))
+    event = _parse_event(model.algebra, args.event)
     holds, level = believes(model, event, args.kind)
     lines = [f"{args.kind}: {str(holds).lower()}"]
     if holds and level is not None:
@@ -305,8 +294,7 @@ def cmd_believe(args):
 
 def cmd_reduce(args):
     _, system = _load(args.infile, ("lps",))
-    for m in system.measures:
-        _check_measure(args.infile, m)
+    _check_measure(args.infile, system)
     reduced = reduce_lps(system)
     cert = equivalence(system, reduced)
     lines = [

@@ -34,8 +34,6 @@ from typing import Union
 
 from .errors import UnlimitedError
 
-Rational = Fraction
-
 _TermTuple = tuple[tuple[int, Fraction], ...]
 
 
@@ -367,12 +365,6 @@ class NonstdNumber:
         if o < 0:
             raise UnlimitedError(f"{self} has no standard part")
         return self.num.trailing_coeff() / self.den.trailing_coeff()
-
-    def exact_fraction(self) -> Fraction:
-        """The value as a rational, only when there is no eps content."""
-        if self.den != _P_ONE or self.num.degree() > 0:
-            raise ValueError(f"{self} is not a standard rational")
-        return self.num.trailing_coeff()
 
     def __str__(self) -> str:
         if self.den == _P_ONE:

@@ -12,7 +12,6 @@ form; the axioms are checked on sampled instances, not proved.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -89,19 +88,6 @@ class FinCofEvent:
             return False
         return other.support <= self.support
 
-    def cardinality(self) -> int:
-        if not self.is_finite:
-            raise ValueError("cofinite sets are infinite")
-        return len(self.support)
-
-    def max_element(self):
-        """Largest element; infinity for cofinite sets."""
-        if not self.is_finite:
-            return math.inf
-        if not self.support:
-            raise ValueError("empty set has no maximum")
-        return max(self.support)
-
     def __str__(self) -> str:
         body = ",".join(str(i) for i in sorted(self.support))
         return "{" + body + "}" if self.is_finite else "N\\{" + body + "}"
@@ -141,12 +127,16 @@ def _alt_coeff(j: int) -> Fraction:
     return -F(1, 2 ** (j // 2 - 1))
 
 
+def _counting_value(finite: bool, n: int) -> NonstdNumber:
+    # |U| * eps for a finite set of n elements, 1 - n * eps for a cofinite
+    # one missing n elements.
+    return n * EPS if finite else ONE - n * EPS
+
+
 def fincof_nps_value(family: str, u: FinCofEvent) -> NonstdNumber:
     """Infinitesimal-valued mass of u under the named set function."""
     if family == "nu1":
-        if u.is_finite:
-            return u.cardinality() * EPS
-        return ONE - len(u.support) * EPS
+        return _counting_value(u.is_finite, len(u.support))
     if family == "nu4":
         if any(j < 1 for j in u.support):
             raise ValueError("atoms of the alternating measure start at 1")
@@ -230,8 +220,7 @@ def sampled_axiom_check(family: str, triples) -> ValidationReport:
             ratio = st_memo.get(key)
             if ratio is None:
                 ratio = st_memo[key] = st_ratio(
-                    meet_n * EPS if meet_fin else ONE - meet_n * EPS,
-                    u_n * EPS if u_fin else ONE - u_n * EPS,
+                    _counting_value(meet_fin, meet_n), _counting_value(u_fin, u_n)
                 )
             if ratio.numerator * vd != vn * ratio.denominator:
                 findings.append(

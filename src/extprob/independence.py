@@ -25,7 +25,7 @@ from .field import st_ratio
 from .lps import LPS, equivalence
 from .npsbridge import nps_to_lps, nps_to_popper
 from .popper import PopperSpace
-from .spaces import Event, NonstdMeasure, RandomVariable, StdMeasure
+from .spaces import Event, NonstdMeasure, RandomVariable, StdMeasure, subsets
 
 
 def _exact_conditional_match(nu: NonstdMeasure, u: Event, v: Event, given: Event) -> bool:
@@ -99,12 +99,6 @@ def weak_indep(
     return True
 
 
-def _value_subsets(values):
-    values = list(values)
-    for mask in range(1 << len(values)):
-        yield [values[i] for i in range(len(values)) if mask >> i & 1]
-
-
 def approx_indep_set(nu: NonstdMeasure, x: RandomVariable, ys) -> bool:
     """Is x approximately independent of the whole set of variables?
 
@@ -117,13 +111,13 @@ def approx_indep_set(nu: NonstdMeasure, x: RandomVariable, ys) -> bool:
         if rv.algebra != nu.algebra:
             raise AlgebraMismatchError("variables on a different algebra")
     y_ranges = [y.range_values() for y in ys]
-    for u_values in _value_subsets(x.range_values()):
+    for u_values in subsets(x.range_values()):
         u_event = x.preimage_event(u_values)
-        for v_choice in product(*(_value_subsets(r) for r in y_ranges)):
+        for v_choice in product(*(subsets(r) for r in y_ranges)):
             v_event = nu.algebra.full_event()
             for y, vals in zip(ys, v_choice):
                 v_event &= y.preimage_event(vals)
-            for vp_choice in product(*(_value_subsets(r) for r in y_ranges)):
+            for vp_choice in product(*(subsets(r) for r in y_ranges)):
                 given = nu.algebra.full_event()
                 for y, vals in zip(ys, vp_choice):
                     given &= y.preimage_event(vals)

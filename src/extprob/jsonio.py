@@ -10,6 +10,7 @@ the callers that need it.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .field import EpsPolynomial, NonstdNumber
@@ -19,6 +20,15 @@ from .popper import PopperSpace
 from .spaces import NonstdMeasure, RandomVariable, SpaceAlgebra, StdMeasure
 
 FORMAT_VERSION = 1
+
+# Longest numerator or denominator accepted, in decimal digits: the
+# interpreter's default bound on int/str conversion.  Only plain digits are
+# accepted, so no literal (an exponent such as "1e999999999") can stand for
+# a longer integer than it spells out.
+RATIONAL_MAX_DIGITS = 4300
+
+_DIGITS = rf"[0-9]{{1,{RATIONAL_MAX_DIGITS}}}"
+_RATIONAL = re.compile(rf"-?{_DIGITS}(?:/{_DIGITS})?")
 
 
 class ParseError(ValueError):
@@ -30,6 +40,13 @@ def encode_rational(q: Fraction) -> str:
 
 
 def parse_rational(text) -> Fraction:
+    """Parse ``-?digits`` or ``-?digits/digits``, each part at most
+    RATIONAL_MAX_DIGITS digits long."""
+    if not _RATIONAL.fullmatch(str(text)):
+        raise ParseError(
+            f"bad rational {text!r}: expected an integer or a/b with at most "
+            f"{RATIONAL_MAX_DIGITS} digits in each part"
+        )
     try:
         return Fraction(str(text))
     except (ValueError, ZeroDivisionError) as exc:
@@ -293,6 +310,8 @@ def parse_document(doc):
         return type_name, parser(doc)
     except KeyError as exc:
         raise ParseError(f"missing field {exc}") from None
+    except TypeError as exc:
+        raise ParseError(f"wrongly shaped field: {exc}") from None
 
 
 def dumps(obj) -> str:

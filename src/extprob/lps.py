@@ -79,9 +79,6 @@ class LPS:
     def classify(self) -> "LpsClassification":
         return classify_lps(self)
 
-    def reduce(self) -> "LPS":
-        return reduce_lps(self)
-
 
 @dataclass(frozen=True)
 class LpsClassification:

@@ -31,22 +31,18 @@ from .popper import PopperSpace
 from .spaces import NonstdMeasure, StdMeasure
 
 
-def lps_to_nps(lps: LPS) -> NonstdMeasure:
-    """Weight level i by eps^i, the top level absorbing the remainder."""
-    k = len(lps) - 1
-    head = ONE
-    for i in range(1, k + 1):
-        head = head - eps_power(i)
-    coeffs = [head] + [eps_power(i) for i in range(1, k + 1)]
-    n = lps.algebra.n_atoms
+def _compose(lps: LPS, coefficients) -> NonstdMeasure:
+    """The weighted sum ``sum(coefficients[i] * lps[i])``, atom by atom."""
     masses = tuple(
-        sum(
-            (coeffs[i] * lps.measures[i].mass[a] for i in range(k + 1)),
-            ZERO,
-        )
-        for a in range(n)
+        sum((c * m.mass[a] for c, m in zip(coefficients, lps.measures, strict=True)), ZERO)
+        for a in range(lps.algebra.n_atoms)
     )
     return NonstdMeasure(lps.algebra, masses)
+
+
+def lps_to_nps(lps: LPS) -> NonstdMeasure:
+    """Weight level i by eps^i, the top level absorbing the remainder."""
+    return _compose(lps, geometric_schedule(len(lps)))
 
 
 @dataclass(frozen=True)
@@ -61,18 +57,7 @@ class Decomposition:
     coefficients: tuple
 
     def recompose(self) -> NonstdMeasure:
-        n = self.lps.algebra.n_atoms
-        masses = tuple(
-            sum(
-                (
-                    self.coefficients[i] * self.lps.measures[i].mass[a]
-                    for i in range(len(self.coefficients))
-                ),
-                ZERO,
-            )
-            for a in range(n)
-        )
-        return NonstdMeasure(self.lps.algebra, masses)
+        return _compose(self.lps, self.coefficients)
 
 
 def _standard_layers(nu: NonstdMeasure):
@@ -183,13 +168,7 @@ def verify_aeqchar(lps: LPS, coefficients) -> bool:
         ratio = late / early
         if not ratio.is_limited or ratio.standard_part() != 0:
             return False
-    n = lps.algebra.n_atoms
-    masses = tuple(
-        sum((coeffs[i] * lps.measures[i].mass[a] for i in range(len(coeffs))), ZERO)
-        for a in range(n)
-    )
-    nu = NonstdMeasure(lps.algebra, masses)
-    return equivalence(nps_to_lps(nu).lps, lps).equivalent
+    return equivalence(nps_to_lps(_compose(lps, coeffs)).lps, lps).equivalent
 
 
 def geometric_schedule(length: int) -> tuple:

@@ -28,7 +28,7 @@ from .errors import (
     NotTreelikeError,
 )
 from .lps import LPS, classify_lps
-from .spaces import Event, SpaceAlgebra, StdMeasure, ValidationReport, algebra_findings
+from .spaces import Event, SpaceAlgebra, StdMeasure, ValidationReport, algebra_findings, subsets
 
 
 def _key(ev: Event):
@@ -74,9 +74,6 @@ class PopperSpace:
 
     def validate(self, level: str = "popper") -> ValidationReport:
         return validate_popper(self, level)
-
-    def forest_parents(self) -> "TreeShape":
-        return forest_shape(self)
 
 
 @dataclass(frozen=True)
@@ -138,7 +135,7 @@ def _cps_findings(space: PopperSpace):
             if x not in space.table or not (x <= u):
                 continue
             x_given_u = space.conditional(x, u)
-            for v_tuple in _subevents(x):
+            for v_tuple in subsets(sorted(x)):
                 v = frozenset(v_tuple)
                 lhs = space.conditional(v, u)
                 rhs = space.conditional(v, x) * x_given_u
@@ -150,19 +147,12 @@ def _cps_findings(space: PopperSpace):
     return out
 
 
-def _subevents(ev: Event):
-    items = sorted(ev)
-    for mask in range(1 << len(items)):
-        yield tuple(items[i] for i in range(len(items)) if mask >> i & 1)
-
-
 def _popper_closure_findings(space: PopperSpace):
     out = []
     fam = space.family()
     full = space.algebra.full_event()
     for u in space.conditioning_events:
-        outside = sorted(full - u)
-        for extra in _subevents(frozenset(outside)):
+        for extra in subsets(sorted(full - u)):
             v = u | frozenset(extra)
             if v not in fam:
                 out.append(
@@ -170,7 +160,7 @@ def _popper_closure_findings(space: PopperSpace):
                 )
         if u not in space.table:
             continue
-        for v_tuple in _subevents(u):
+        for v_tuple in subsets(sorted(u)):
             v = frozenset(v_tuple)
             if v and space.conditional(v, u) != 0 and v not in fam:
                 out.append(

@@ -3,13 +3,15 @@
 A :class:`SpaceAlgebra` is given by its atom partition; every event of the
 algebra is a union of atoms and is represented as a frozenset of atom
 indices.  Measures assign exact masses to atoms: rationals for
-:class:`StdMeasure`, field elements for :class:`NonstdMeasure`.  All values
-are immutable and all operations are pure.
+:class:`StdMeasure`, field elements for :class:`NonstdMeasure`.  Values are
+immutable and operations are pure; the one piece of state is each
+measure's memo of the event masses asked of it, which saves work but
+never changes a result.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import AlgebraMismatchError, ZeroConditioningError
@@ -47,14 +49,8 @@ class SpaceAlgebra:
 
     def events(self, include_empty: bool = False):
         """All events, in lexicographic order of their sorted index tuples."""
-        n = len(self.atoms)
-        out = []
-        if include_empty:
-            out.append(frozenset())
-        masks = sorted(
-            (tuple(sorted(s)) for s in _subsets(range(n)) if s),
-        )
-        out.extend(frozenset(m) for m in masks)
+        out = [frozenset()] if include_empty else []
+        out.extend(frozenset(s) for s in sorted(subsets(range(len(self.atoms)))[1:]))
         return out
 
     def complement(self, ev: Event) -> Event:
@@ -65,10 +61,17 @@ class SpaceAlgebra:
         return "{" + ",".join(str(w) for w in worlds) + "}"
 
 
-def _subsets(items):
-    items = list(items)
-    for mask in range(1 << len(items)):
-        yield {items[i] for i in range(len(items)) if mask >> i & 1}
+def subsets(items) -> list:
+    """Every subset of ``items`` as a tuple, in bitmask order.
+
+    Subset number ``k`` holds ``items[i]`` exactly when bit ``i`` of ``k``
+    is set, so the empty tuple comes first and each tuple keeps the order
+    of ``items``.
+    """
+    out = [()]
+    for it in items:
+        out += [s + (it,) for s in out]
+    return out
 
 
 @dataclass(frozen=True)
@@ -88,23 +91,28 @@ class ValidationReport:
         return ["ok"] if self.is_valid else [f"violation: {f}" for f in self.findings]
 
 
+@dataclass(frozen=True)
 class _MeasureBase:
-    __slots__ = ()
+    """Atom masses on an algebra, with a memo of event masses.
+
+    ``_masses`` maps each event asked for to its mass.  It is filled on
+    demand and never changes a result, so measures still compare and hash
+    by algebra and masses only.
+    """
+
+    algebra: SpaceAlgebra
+    mass: tuple
+    _masses: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def event_mass(self, ev: Event):
         """Total mass of an event (zero element for the empty event).
 
-        Cached per event; exhaustive quantifications revisit the same
+        Memoized per event; exhaustive quantifications revisit the same
         events constantly.
         """
-        cache = getattr(self, "_mass_cache", None)
-        if cache is None:
-            cache = {}
-            object.__setattr__(self, "_mass_cache", cache)
-        value = cache.get(ev)
+        value = self._masses.get(ev)
         if value is None:
-            value = sum((self.mass[i] for i in ev), start=self._zero)
-            cache[ev] = value
+            value = self._masses[ev] = sum((self.mass[i] for i in ev), start=self._zero)
         return value
 
     def expectation(self, rv: "RandomVariable"):
@@ -131,12 +139,8 @@ class _MeasureBase:
         return type(self)(self.algebra, masses)
 
 
-@dataclass(frozen=True)
 class StdMeasure(_MeasureBase):
     """Finitely additive probability with rational atom masses."""
-
-    algebra: SpaceAlgebra
-    mass: tuple
 
     _zero = Fraction(0)
 
@@ -178,12 +182,8 @@ class StdMeasure(_MeasureBase):
         return out
 
 
-@dataclass(frozen=True)
 class NonstdMeasure(_MeasureBase):
     """Finitely additive probability with masses in the infinitesimal field."""
-
-    algebra: SpaceAlgebra
-    mass: tuple
 
     _zero = ZERO
 

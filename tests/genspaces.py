@@ -6,7 +6,7 @@ from extprob.field import ZERO
 from extprob.fincof import FinCofEvent
 from extprob.lps import LPS
 from extprob.popper import PopperSpace
-from extprob.spaces import NonstdMeasure, SpaceAlgebra, StdMeasure
+from extprob.spaces import NonstdMeasure, SpaceAlgebra, StdMeasure, subsets
 
 F = Fraction
 
@@ -139,11 +139,7 @@ def random_treelike_space(rng, algebra, max_depth=3):
 
 
 def _subsets(items):
-    items = list(items)
-    out = []
-    for mask in range(1 << len(items)):
-        out.append(frozenset(items[i] for i in range(len(items)) if mask >> i & 1))
-    return out
+    return [frozenset(s) for s in subsets(list(items))]
 
 
 def nested_triples(universe):

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, determinism, and report content."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -303,6 +304,64 @@ class TestWitnessNegative:
         assert code == 1
         out = capsys.readouterr().out
         assert "accepted: false" in out and "caveat" in out
+
+
+class TestMalformedInput:
+    """Malformed input ends with exit 3 and a message, never a traceback."""
+
+    def run_bad(self, argv, capsys):
+        start = time.perf_counter()
+        assert main(argv) == 3
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        return captured.err
+
+    def test_conditioning_events_not_a_list(self, tmp_path, capsys):
+        doc = jsonio.encode(nps_to_popper(NonstdMeasure.from_values(AB, [ONE - EPS, EPS])))
+        doc["conditioning_events"] = 5
+        path = write(tmp_path, "popper.json", doc)
+        assert "wrongly shaped field" in self.run_bad(["validate", "--in", path], capsys)
+
+    def test_worlds_not_a_list(self, tmp_path, capsys):
+        doc = jsonio.encode(StdMeasure.from_values(AB, [1, 0]))
+        doc["space"]["worlds"] = 3
+        path = write(tmp_path, "measure.json", doc)
+        assert "wrongly shaped field" in self.run_bad(["validate", "--in", path], capsys)
+
+    def test_believe_event_out_of_range(self, tmp_path, capsys):
+        path = write(tmp_path, "lps.json", LPS.from_rows(AB, [(1, 0)]))
+        err = self.run_bad(
+            ["believe", "--model", path, "--kind", "weak", "--event", "7"], capsys
+        )
+        assert "atom index 7 out of range" in err
+
+    def test_indep_event_out_of_range(self, tmp_path, capsys):
+        path = write(tmp_path, "nu.json", NonstdMeasure.from_values(AB, [ONE - EPS, EPS]))
+        err = self.run_bad(
+            ["indep", "--measure", path, "--u", "0", "--v", "1", "--given", "0,2"], capsys
+        )
+        assert "atom index 2 out of range" in err
+
+    def test_exponent_literal_mass(self, tmp_path, capsys):
+        doc = jsonio.encode(StdMeasure.from_values(AB, [1, 0]))
+        doc["mass"] = ["1e999999999", "0"]
+        path = write(tmp_path, "measure.json", doc)
+        assert "bad rational" in self.run_bad(["validate", "--in", path], capsys)
+
+    def test_exponent_literal_witness_weight(self, tmp_path, capsys):
+        target = write(tmp_path, "lps.json", LPS.from_rows(AB, [(1, 0), (0, 1)]))
+        x = write(tmp_path, "x.json", RandomVariable.from_values(AB, [0, 1]))
+        witness = write(
+            tmp_path, "w.json",
+            {"type": "witness", "kind": "bbd-r", "weights": [["1e999999999"]]},
+        )
+        err = self.run_bad(
+            ["verify-witness", "--kind", "bbd-r", "--target", target,
+             "--xs", x, "--witness", witness],
+            capsys,
+        )
+        assert "bad rational" in err
 
 
 class TestFixtures:

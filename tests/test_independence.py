@@ -6,8 +6,10 @@ from fractions import Fraction
 
 import pytest
 
+from genspaces import compose
+
 from extprob.errors import LengthMismatchError
-from extprob.field import EPS, ONE, ZERO, NonstdNumber
+from extprob.field import EPS, ONE, NonstdNumber
 from extprob.independence import (
     approx_indep_set,
     box_combine,
@@ -137,20 +139,6 @@ def random_system(rng, algebra, max_len=3):
         s = sum(masses)
         rows.append(tuple(m / s for m in masses))
     return LPS.from_rows(algebra, rows)
-
-
-def compose(system, schedule):
-    n = system.algebra.n_atoms
-    return NonstdMeasure(
-        system.algebra,
-        tuple(
-            sum(
-                (schedule[i] * system.measures[i].mass[a] for i in range(len(system))),
-                ZERO,
-            )
-            for a in range(n)
-        ),
-    )
 
 
 def random_grid_measure(rng):

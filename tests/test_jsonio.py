@@ -88,6 +88,20 @@ class TestStrictness:
         with pytest.raises(jsonio.ParseError):
             jsonio.parse_rational("0.5x")
 
+    @pytest.mark.parametrize(
+        "text",
+        ["1e999999999", "0.5", "+1", " 1", "1/-2", "1/0", "9" * (jsonio.RATIONAL_MAX_DIGITS + 1)],
+    )
+    def test_rational_grammar_rejects(self, text):
+        with pytest.raises(jsonio.ParseError):
+            jsonio.parse_rational(text)
+
+    def test_rational_grammar_accepts(self):
+        assert jsonio.parse_rational("-3/4") == F(-3, 4)
+        assert jsonio.parse_rational("12") == 12
+        big = "9" * jsonio.RATIONAL_MAX_DIGITS
+        assert jsonio.parse_rational(f"{big}/{big}") == 1
+
     def test_rejects_wrong_mass_count(self):
         doc = jsonio.encode(StdMeasure.from_values(AB, [F(1, 2), F(1, 2)]))
         doc["mass"] = ["1"]

@@ -6,10 +6,13 @@ from fractions import Fraction
 
 import pytest
 
+from genspaces import compose
+
 from extprob.errors import AlgebraMismatchError, LengthMismatchError
 from extprob.field import EPS, NonstdNumber, ONE, ZERO
 from extprob.lps import LPS, equivalence
 from extprob.npsbridge import (
+    Decomposition,
     geometric_schedule,
     lps_to_nps,
     nps_equiv,
@@ -54,6 +57,17 @@ class TestLpsToNps:
     def test_point_levels(self):
         assert lps_to_nps(lps(AB, (1, 0), (0, 1))).mass == (ONE - EPS, EPS)
 
+    def test_embedding_and_recompose_match_reference_compose(self):
+        rng = random.Random(71)
+        for _ in range(20):
+            n = rng.randint(1, 5)
+            algebra = SpaceAlgebra.discrete([f"w{i}" for i in range(n)])
+            system = random_lps(rng, algebra)
+            schedule = geometric_schedule(len(system))
+            assert lps_to_nps(system) == compose(system, schedule)
+            steep = steep_schedule(len(system))
+            assert Decomposition(system, steep).recompose() == compose(system, steep)
+
 
 class TestNpsToLps:
     def test_mcgee_decomposition_by_hand(self):
@@ -92,15 +106,7 @@ def random_nps(rng, max_atoms=4):
     n = rng.randint(2, max_atoms)
     algebra = SpaceAlgebra.discrete([f"w{i}" for i in range(n)])
     system = random_lps(rng, algebra)
-    schedule = geometric_schedule(len(system))
-    masses = tuple(
-        sum(
-            (schedule[i] * system.measures[i].mass[a] for i in range(len(system))),
-            ZERO,
-        )
-        for a in range(n)
-    )
-    return NonstdMeasure(algebra, masses)
+    return compose(system, geometric_schedule(len(system)))
 
 
 def random_lps(rng, algebra, max_len=None):
@@ -197,18 +203,6 @@ class TestEquivalences:
                 conditioned = nu.condition(ev)
                 for a in range(n):
                     assert conditioned.mass[a].standard_part() == lead.mass[a]
-
-
-def compose(system, schedule):
-    n = system.algebra.n_atoms
-    masses = tuple(
-        sum(
-            (schedule[i] * system.measures[i].mass[a] for i in range(len(system))),
-            ZERO,
-        )
-        for a in range(n)
-    )
-    return NonstdMeasure(system.algebra, masses)
 
 
 class TestVerifyAeqchar:

@@ -71,7 +71,25 @@ class TestValidate:
             (0,): (1, 0, 0),
         }
         report = validate_popper(PopperSpace.from_rows(ABC, rows), "cps")
-        assert any("CP3" in f for f in report.findings)
+        assert list(report.findings) == [
+            "CP3: mu([0]|[0, 1, 2]) = 1/2 but mu([0]|[0, 1]) * mu([0, 1]|[0, 1, 2]) = 1/4",
+            "CP3: mu([1]|[0, 1, 2]) = 1/2 but mu([1]|[0, 1]) * mu([0, 1]|[0, 1, 2]) = 3/4",
+        ]
+
+    def test_closure_findings_in_order(self):
+        # Per family event in order: missing supersets in bitmask order of
+        # the atoms outside it, then positive sub-events missing from the
+        # family in bitmask order of its own atoms.
+        rows = {(0, 1): (F(1, 2), F(1, 2), 0), (2,): (0, 0, 1)}
+        report = validate_popper(PopperSpace.from_rows(ABC, rows), "popper")
+        assert list(report.findings) == [
+            "closure: [0, 1] in family but superset [0, 1, 2] is not",
+            "closure: mu([0]|[0, 1]) > 0 but [0] not in family",
+            "closure: mu([1]|[0, 1]) > 0 but [1] not in family",
+            "closure: [2] in family but superset [0, 2] is not",
+            "closure: [2] in family but superset [1, 2] is not",
+            "closure: [2] in family but superset [0, 1, 2] is not",
+        ]
 
     def test_nonnested_overlap_not_treelike(self):
         space = PopperSpace.from_rows(

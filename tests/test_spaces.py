@@ -169,3 +169,10 @@ class TestCondition:
         m = StdMeasure.from_values(ABC, [1, 0, 0])
         with pytest.raises(ZeroConditioningError):
             m.condition(ABC.event({1, 2}))
+
+
+def test_events_in_lexicographic_order():
+    assert ABC.events(include_empty=True) == [
+        frozenset(ev) for ev in [(), (0,), (0, 1), (0, 1, 2), (0, 2), (1,), (1, 2), (2,)]
+    ]
+    assert ABC.events() == ABC.events(include_empty=True)[1:]
