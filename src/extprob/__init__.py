@@ -30,7 +30,6 @@ from .npsbridge import (
 )
 from .popper import (
     PopperSpace,
-    TreeShape,
     popper_to_slps,
     slps_to_popper,
     treelike_to_lps,
@@ -63,7 +62,6 @@ __all__ = [
     "RandomVariable",
     "SpaceAlgebra",
     "StdMeasure",
-    "TreeShape",
     "ValidationReport",
     "WitnessReport",
     "approx_indep_mutual",

@@ -10,58 +10,18 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-def solve_combination(rows, target):
-    """Coefficients c with sum(c[i] * rows[i]) == target, or None.
+def _reduce(mat, ncols):
+    """Gauss-Jordan on ``mat`` in place over its first ``ncols`` columns.
 
-    ``rows`` may be linearly dependent; any exact solution is returned.
+    Columns are taken left to right, each pivoting on the first nonzero row
+    at or below the current one.  Returns the pivot columns; pivot row i is
+    row i of the reduced matrix.
     """
-    if not rows:
-        return [] if all(x == 0 for x in target) else None
-    n = len(rows[0])
-    m = len(rows)
-    # Augmented system A^T c = target, A^T is n x m.
-    aug = [[rows[j][i] for j in range(m)] + [target[i]] for i in range(n)]
-    piv_of_col: dict[int, int] = {}
-    r = 0
-    for col in range(m):
-        piv = next((i for i in range(r, n) if aug[i][col] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        factor = aug[r][col]
-        aug[r] = [x / factor for x in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        piv_of_col[col] = r
-        r += 1
-        if r == n:
-            break
-    for i in range(n):
-        if all(aug[i][j] == 0 for j in range(m)) and aug[i][m] != 0:
-            return None
-    coeffs = [Fraction(0)] * m
-    for col, row in piv_of_col.items():
-        coeffs[col] = aug[row][m]
-    return coeffs
-
-
-def in_span(rows, target) -> bool:
-    return solve_combination(rows, target) is not None
-
-
-def nullspace_basis(rows, n):
-    """Basis of {z in Q^n : row . z == 0 for every row}."""
-    mat = [list(row) for row in rows if any(x != 0 for x in row)]
-    if not mat:
-        return [
-            tuple(Fraction(1) if j == i else Fraction(0) for j in range(n))
-            for i in range(n)
-        ]
-    r = 0
     piv_cols = []
-    for col in range(n):
+    for col in range(ncols):
+        r = len(piv_cols)
+        if r == len(mat):
+            break
         piv = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
         if piv is None:
             continue
@@ -73,12 +33,35 @@ def nullspace_basis(rows, n):
                 f = mat[i][col]
                 mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
         piv_cols.append(col)
-        r += 1
-        if r == len(mat):
-            break
-    free_cols = [c for c in range(n) if c not in piv_cols]
+    return piv_cols
+
+
+def solve_combination(rows, target):
+    """Coefficients c with sum(c[i] * rows[i]) == target, or None.
+
+    ``rows`` may be linearly dependent; any exact solution is returned, with
+    the free coefficients at zero.
+    """
+    if not rows:
+        return [] if all(x == 0 for x in target) else None
+    m = len(rows)
+    # Augmented system A^T c = target, A^T is n x m.
+    aug = [[row[i] for row in rows] + [target[i]] for i in range(len(rows[0]))]
+    piv_cols = _reduce(aug, m)
+    if any(row[m] != 0 for row in aug[len(piv_cols):]):
+        return None
+    coeffs = [Fraction(0)] * m
+    for row, col in enumerate(piv_cols):
+        coeffs[col] = aug[row][m]
+    return coeffs
+
+
+def nullspace_basis(rows, n):
+    """Basis of {z in Q^n : row . z == 0 for every row}."""
+    mat = [list(row) for row in rows if any(x != 0 for x in row)]
+    piv_cols = _reduce(mat, n)
     basis = []
-    for fc in free_cols:
+    for fc in (c for c in range(n) if c not in piv_cols):
         vec = [Fraction(0)] * n
         vec[fc] = Fraction(1)
         for row_idx, pc in enumerate(piv_cols):

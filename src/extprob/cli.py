@@ -78,10 +78,10 @@ def _load(path, expected=None):
 
 def _check_measure(path, obj):
     """Reject a measure, or a system with a level, that breaks its invariants."""
-    for m in obj.measures if isinstance(obj, LPS) else (obj,):
-        report = validate_space(m.algebra, [m])
-        if not report.is_valid:
-            raise _BadInput(f"{path}: " + "; ".join(report.findings))
+    measures = obj.measures if isinstance(obj, LPS) else (obj,)
+    report = validate_space(obj.algebra, measures)
+    if not report.is_valid:
+        raise _BadInput(f"{path}: " + "; ".join(report.findings))
     return obj
 
 

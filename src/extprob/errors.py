@@ -14,7 +14,8 @@ class AlgebraMismatchError(ExtprobError, ValueError):
 
 
 class ZeroConditioningError(ExtprobError, ZeroDivisionError):
-    """Conditioning event has probability zero (or is empty)."""
+    """Conditioning event has probability zero, is empty, or is outside the
+    conditioning family."""
 
 
 class NotAnSlpsError(ExtprobError, ValueError):

@@ -133,7 +133,7 @@ def reduce_lps(lps: LPS) -> LPS:
     kept = []
     rows = []
     for m in lps.measures:
-        if not _linalg.in_span(rows, m.mass):
+        if _linalg.solve_combination(rows, m.mass) is None:
             kept.append(m)
             rows.append(m.mass)
     return LPS(lps.algebra, tuple(kept))

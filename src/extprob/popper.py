@@ -10,11 +10,13 @@ then structural; validation checks the remaining axioms at three levels:
   under supersets, and under positive-probability intersections),
 - ``treelike``: instead of closure, the family must form a forest whose
   siblings partition their parent and whose roots partition the space.
+  The forest is a parent map: each event points to its least strict
+  superset in the family, and roots point to None.
 
 The module also carries the three constructions between these spaces and
 lexicographic systems: the forward map from structured systems, its exact
-inverse on finite spaces, and the forest-labelling construction for
-treelike families.
+inverse on finite spaces, and the forest construction for treelike
+families, which reads the levels off the parent map in one pass.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .errors import (
     InvalidPopperSpaceError,
     NotAnSlpsError,
     NotTreelikeError,
+    ZeroConditioningError,
 )
 from .lps import LPS, classify_lps
 from .spaces import Event, SpaceAlgebra, StdMeasure, ValidationReport, algebra_findings, subsets
@@ -70,33 +73,24 @@ class PopperSpace:
 
     def conditional(self, v: Event, u: Event) -> Fraction:
         """mu(v | u) for u in the conditioning family."""
-        return self.table[u].event_mass(v)
+        try:
+            row = self.table[u]
+        except KeyError:
+            raise ZeroConditioningError(
+                f"conditioning event {sorted(u)} is outside the conditioning family"
+            ) from None
+        return row.event_mass(v)
 
     def validate(self, level: str = "popper") -> ValidationReport:
         return validate_popper(self, level)
 
 
-@dataclass(frozen=True)
-class TreeShape:
-    """Parent links organizing the conditioning family as a forest."""
+def forest_shape(space: PopperSpace) -> dict:
+    """Parent links of the family, ``{event: parent or None}`` in family order.
 
-    parents: tuple  # pairs (event, parent event or None), in family order
-
-    def parent_of(self, ev: Event):
-        for e, p in self.parents:
-            if e == ev:
-                return p
-        raise KeyError(sorted(ev))
-
-    def roots(self):
-        return tuple(e for e, p in self.parents if p is None)
-
-    def children_of(self, ev: Event):
-        return tuple(e for e, p in self.parents if p == ev)
-
-
-def forest_shape(space: PopperSpace) -> TreeShape:
-    """Organize the family by set inclusion; raises when not laminar."""
+    The parent of an event is its least strict superset in the family, and
+    roots map to None.  Raises when the family is not laminar.
+    """
     fam = space.conditioning_events
     for u in fam:
         for v in fam:
@@ -104,12 +98,11 @@ def forest_shape(space: PopperSpace) -> TreeShape:
                 raise NotTreelikeError(
                     f"events {sorted(u)} and {sorted(v)} overlap without nesting"
                 )
-    parents = []
+    parents = {}
     for u in fam:
         above = [v for v in fam if u < v]
-        parent = min(above, key=lambda v: (len(v), _key(v))) if above else None
-        parents.append((u, parent))
-    return TreeShape(tuple(parents))
+        parents[u] = min(above, key=lambda v: (len(v), _key(v))) if above else None
+    return parents
 
 
 def _cps_findings(space: PopperSpace):
@@ -172,19 +165,19 @@ def _popper_closure_findings(space: PopperSpace):
 def _treelike_findings(space: PopperSpace):
     out = []
     try:
-        shape = forest_shape(space)
+        parents = forest_shape(space)
     except NotTreelikeError as exc:
         return [f"T2: {exc}"]
     full = space.algebra.full_event()
-    for u, _ in shape.parents:
-        children = shape.children_of(u)
+    for u in parents:
+        children = [e for e, p in parents.items() if p == u]
         if children:
             union = frozenset().union(*children)
             if union != u:
                 out.append(
                     f"T2: children of {sorted(u)} union to {sorted(union)}, not the parent"
                 )
-    roots = shape.roots()
+    roots = [e for e, p in parents.items() if p is None]
     if roots:
         union = frozenset().union(*roots)
         if union != full:
@@ -256,61 +249,37 @@ def popper_to_slps(space: PopperSpace) -> LPS:
     return LPS(space.algebra, tuple(measures))
 
 
-def _label_family(space: PopperSpace):
-    """Forest labelling: roots get 0, positive-probability successors share
-    the label, maximal unlabelled events open the next level."""
-    shape = forest_shape(space)
-    fam = list(space.conditioning_events)
-    labels = {}
-    level = 0
-    while len(labels) < len(fam):
-        if level == 0:
-            seeds = [u for u in shape.roots()]
-        else:
-            unlabelled = [u for u in fam if u not in labels]
-            seeds = [
-                u
-                for u in unlabelled
-                if not any(u < v for v in unlabelled)
-            ]
-        for u in seeds:
-            labels[u] = level
-        changed = True
-        while changed:
-            changed = False
-            for u in fam:
-                if u in labels:
-                    continue
-                for v in fam:
-                    if labels.get(v) == level and space.conditional(u, v) > 0:
-                        labels[u] = level
-                        changed = True
-                        break
-        level += 1
-    return labels
-
-
 def treelike_to_lps(space: PopperSpace) -> LPS:
     """Represent a treelike space as a lexicographic system.
 
-    Level k mixes, with uniform weights, the conditionals given the maximal
-    events labelled k.  The output gives every family event positive mass
-    at some level and reproduces the whole conditional table.
+    Walking the forest from the roots down, a root opens level 0, a child
+    its parent gives positive probability shares the parent's level, and a
+    child its parent gives zero opens the level after the parent's.  Level k
+    mixes, with uniform weights, the conditionals given the events opening
+    it.  The output gives every family event positive mass at some level
+    and reproduces the whole conditional table.
     """
     report = validate_popper(space, "treelike")
     if not report.is_valid:
         raise NotTreelikeError("; ".join(report.findings))
-    labels = _label_family(space)
-    n_levels = max(labels.values()) + 1
+    # CP3 holds on every nested pair, so mu(u | w) = mu(u | p) * mu(p | w) for
+    # each ancestor w: a child its parent gives zero gets zero from all of them.
+    parents = forest_shape(space)
+    level = {}
+    opening = []
+    for u in sorted(parents, key=len, reverse=True):
+        p = parents[u]
+        if p is not None and space.conditional(u, p) > 0:
+            level[u] = level[p]
+        else:
+            level[u] = 0 if p is None else level[p] + 1
+            opening.append(u)
     rows = []
-    for k in range(n_levels):
-        at_level = [u for u, lab in labels.items() if lab == k]
-        maximal = sorted(
-            (u for u in at_level if not any(u < v for v in at_level)), key=_key
-        )
-        weight = Fraction(1, len(maximal))
+    for k in range(max(level.values()) + 1):
+        openers = sorted((u for u in opening if level[u] == k), key=_key)
+        weight = Fraction(1, len(openers))
         masses = tuple(
-            sum((space.table[u].mass[a] * weight for u in maximal), Fraction(0))
+            sum((space.table[u].mass[a] * weight for u in openers), Fraction(0))
             for a in range(space.algebra.n_atoms)
         )
         rows.append(StdMeasure(space.algebra, masses))

@@ -153,21 +153,6 @@ class StdMeasure(_MeasureBase):
         n = algebra.n_atoms
         return cls(algebra, tuple(Fraction(1, n) for _ in range(n)))
 
-    @classmethod
-    def point(cls, algebra: SpaceAlgebra, atom: int) -> "StdMeasure":
-        return cls(
-            algebra,
-            tuple(
-                Fraction(1) if i == atom else Fraction(0)
-                for i in range(algebra.n_atoms)
-            ),
-        )
-
-    def to_nonstd(self) -> "NonstdMeasure":
-        return NonstdMeasure(
-            self.algebra, tuple(NonstdNumber.from_fraction(m) for m in self.mass)
-        )
-
     def invariant_findings(self, where: str = "measure"):
         out = []
         if len(self.mass) != self.algebra.n_atoms:

@@ -11,6 +11,7 @@ from extprob.cli import main
 from extprob.field import EPS, ONE
 from extprob.lps import LPS
 from extprob.npsbridge import lps_to_nps, nps_to_popper
+from extprob.popper import PopperSpace
 from extprob.spaces import NonstdMeasure, RandomVariable, SpaceAlgebra, StdMeasure
 
 F = Fraction
@@ -342,6 +343,31 @@ class TestMalformedInput:
             ["indep", "--measure", path, "--u", "0", "--v", "1", "--given", "0,2"], capsys
         )
         assert "atom index 2 out of range" in err
+
+    def singleton_family(self, tmp_path):
+        """A popper_space whose family [[0], [1]] lacks the full event."""
+        return write(tmp_path, "p.json", PopperSpace.from_rows(AB, {(0,): (1, 0), (1,): (0, 1)}))
+
+    def test_believe_popper_weak_without_full_event(self, tmp_path, capsys):
+        path = self.singleton_family(tmp_path)
+        err = self.run_bad(
+            ["believe", "--model", path, "--kind", "popper-weak", "--event", "0"], capsys
+        )
+        assert "[0, 1] is outside the conditioning family" in err
+
+    def test_indep_popper_given_outside_family(self, tmp_path, capsys):
+        path = self.singleton_family(tmp_path)
+        err = self.run_bad(
+            ["indep", "--measure", path, "--mode", "popper",
+             "--u", "0", "--v", "0", "--given", "0,1"],
+            capsys,
+        )
+        assert "[0, 1] is outside the conditioning family" in err
+
+    def test_bad_lps_level_is_named(self, tmp_path, capsys):
+        path = write(tmp_path, "lps.json", LPS.from_rows(AB, [(1, 0), (F(1, 2), F(1, 3))]))
+        err = self.run_bad(["reduce", "--in", path], capsys)
+        assert "measures[1]: masses sum to 5/6, not 1" in err
 
     def test_exponent_literal_mass(self, tmp_path, capsys):
         doc = jsonio.encode(StdMeasure.from_values(AB, [1, 0]))

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from extprob._linalg import nullspace_basis, solve_combination
 from extprob.errors import AlgebraMismatchError, ZeroConditioningError
 from extprob.lps import EQ, GT, LT, LPS, equivalence, reduce_lps
 from extprob.spaces import RandomVariable, SpaceAlgebra, StdMeasure
@@ -284,3 +285,17 @@ def test_generated_slps_classify_as_slps():
         n = rng.randint(2, 5)
         algebra = SpaceAlgebra.discrete([f"w{i}" for i in range(n)])
         assert random_slps(rng, algebra).classify().is_slps
+
+
+class TestLinalg:
+    def test_dependent_system_pins_free_coefficient_at_zero(self):
+        rows = [(F(1), F(0), F(1)), (F(2), F(0), F(2)), (F(0), F(1), F(1))]
+        assert solve_combination(rows, (F(3), F(2), F(5))) == [F(3), F(0), F(2)]
+        assert solve_combination(rows, (F(1), F(0), F(0))) is None
+        assert solve_combination([], (F(0), F(0))) == []
+
+    def test_nullspace_basis_order(self):
+        rows = [(0, 0, 1, 3), (1, 2, 0, -1), (1, 2, 1, 2), (0, 0, 0, 0)]
+        rows = [tuple(F(x) for x in row) for row in rows]
+        assert nullspace_basis(rows, 4) == [(-2, 1, 0, 0), (1, 0, -3, 1)]
+        assert nullspace_basis([(F(0), F(0))], 2) == [(1, 0), (0, 1)]

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from genspaces import algebra_of, random_treelike_space
+from oracles import treelike_levels
 
 from extprob.errors import InvalidPopperSpaceError, NotAnSlpsError, NotTreelikeError
 from extprob.lps import LPS, classify_lps
@@ -271,10 +273,20 @@ class TestTreelike:
             treelike_to_lps(pairs_only_space())
 
     def test_forest_shape_parents(self):
-        shape = forest_shape(chain_space())
-        assert shape.parent_of(ABC.event({0, 1})) == ABC.full_event()
-        assert shape.parent_of(ABC.full_event()) is None
-        assert set(shape.roots()) == {ABC.full_event()}
+        parents = forest_shape(chain_space())
+        assert parents[ABC.event({0, 1})] == ABC.full_event()
+        assert parents[ABC.full_event()] is None
+        assert {u for u, p in parents.items() if p is None} == {ABC.full_event()}
+
+    def test_levels_match_fixpoint_labelling_oracle(self):
+        rng = random.Random(7)
+        multi_level = 0
+        for _ in range(320):
+            space = random_treelike_space(rng, algebra_of(rng.randint(1, 6)))
+            got = tuple(m.mass for m in treelike_to_lps(space).measures)
+            assert got == treelike_levels(space)
+            multi_level += len(got) > 1
+        assert multi_level >= 50
 
 
 def test_validation_reports_broken_partition_first():
