@@ -36,3 +36,7 @@ class LengthMismatchError(ExtprobError, ValueError):
 
 class KindMismatchError(ExtprobError, ValueError):
     """Query kind is not admissible for the supplied model class."""
+
+
+class SizeLimitError(ExtprobError):
+    """Input would need an enumeration larger than the routine's limit."""

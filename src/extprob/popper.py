@@ -13,6 +13,23 @@ then structural; validation checks the remaining axioms at three levels:
   The forest is a parent map: each event points to its least strict
   superset in the family, and roots point to None.
 
+Every axiom is first checked by an exact shortcut, in time polynomial in
+family size times atoms; sub-events and supersets are enumerated only to
+word the findings of a shortcut that failed, so the report keeps the text
+and order of the exhaustive check:
+
+- CP3 on atoms: each conditional is additive, so both sides of
+  mu(v|u) = mu(v|x) * mu(x|u) are sums over the atoms of v, and the chain
+  rule holds for every sub-event of x exactly when it holds on each atom.
+- One-atom closure: the family is closed under supersets exactly when it
+  holds u | {a} for every member u and atom a.  Given that, every v with
+  mu(v|u) != 0 contains an atom a with mu({a}|u) != 0, so positive
+  closure needs only those singletons in the family.
+- Covering pairs: on a closed family with CP1 and no other finding, the
+  chain rule on the pairs (x, x | {a}) gives it on every nested pair, by
+  induction on |u - x| through y = x | {a}: mu(v|u) = mu(v|y) * mu(y|u)
+  = mu(v|x) * mu(x|y) * mu(y|u) = mu(v|x) * mu(x|u).
+
 The module also carries the three constructions between these spaces and
 lexicographic systems: the forward map from structured systems, its exact
 inverse on finite spaces, and the forest construction for treelike
@@ -23,15 +40,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .errors import (
     InvalidPopperSpaceError,
     NotAnSlpsError,
     NotTreelikeError,
+    SizeLimitError,
     ZeroConditioningError,
 )
 from .lps import LPS, classify_lps
 from .spaces import Event, SpaceAlgebra, StdMeasure, ValidationReport, algebra_findings, subsets
+
+
+SUBEVENT_LIMIT = 2**20
+"""Most sub-events or supersets of one event listed to word the findings
+of a failed check; a larger listing raises :class:`SizeLimitError`."""
 
 
 def _key(ev: Event):
@@ -105,7 +129,19 @@ def forest_shape(space: PopperSpace) -> dict:
     return parents
 
 
-def _cps_findings(space: PopperSpace):
+def _subsets_within_limit(atoms, what):
+    """``subsets(sorted(atoms))``, refused when it would list more than
+    :data:`SUBEVENT_LIMIT` events."""
+    count = 2 ** len(atoms)
+    if count > SUBEVENT_LIMIT:
+        raise SizeLimitError(
+            f"listing {what} needs {count} events, over the limit "
+            f"SUBEVENT_LIMIT = {SUBEVENT_LIMIT}"
+        )
+    return subsets(sorted(atoms))
+
+
+def _cp_findings(space: PopperSpace):
     out = []
     fam = space.conditioning_events
     if frozenset() in fam:
@@ -120,40 +156,78 @@ def _cps_findings(space: PopperSpace):
             out.append(
                 f"CP1: mu({sorted(u)} | {sorted(u)}) = {row.event_mass(u)}, not 1"
             )
-    # Chain rule over nested pairs of conditioning events, all sub-events.
-    for u in fam:
-        if u not in space.table:
+    return out
+
+
+def _integer_rows(space: PopperSpace) -> dict:
+    """Each stored row as integer masses over one common denominator."""
+    out = {}
+    for u, row in space.table.items():
+        den = lcm(*(m.denominator for m in row.mass))
+        out[u] = ([m.numerator * (den // m.denominator) for m in row.mass], den)
+    return out
+
+
+def _chain_rule_on_atoms(rows: dict, x: Event, u: Event) -> bool:
+    """mu(a|u) == mu(a|x) * mu(x|u) for every atom a of x.
+
+    Both sides are additive in the sub-event, so this is the chain rule
+    for every sub-event of x.  With ``rows`` from :func:`_integer_rows`,
+    u_mass[a] / U == (x_mass[a] / X) * (x_in_u / U) for the integer sum
+    x_in_u of u_mass over x, so the test is u_mass[a] * X == x_mass[a] * x_in_u.
+    """
+    (u_mass, _), (x_mass, x_den) = rows[u], rows[x]
+    x_in_u = sum(u_mass[a] for a in x)
+    return all(u_mass[a] * x_den == x_mass[a] * x_in_u for a in x)
+
+
+def _nested_pairs(space: PopperSpace):
+    stored = [u for u in space.conditioning_events if u in space.table]
+    return [(x, u) for u in stored for x in stored if x <= u]
+
+
+def _covering_pairs(space: PopperSpace):
+    full = space.algebra.full_event()
+    return [(x, x | {a}) for x in space.conditioning_events for a in full - x]
+
+
+def _cp3_findings(space: PopperSpace, rows: dict, pairs):
+    out = []
+    for x, u in pairs:
+        if _chain_rule_on_atoms(rows, x, u):
             continue
-        for x in fam:
-            if x not in space.table or not (x <= u):
-                continue
-            x_given_u = space.conditional(x, u)
-            for v_tuple in subsets(sorted(x)):
-                v = frozenset(v_tuple)
-                lhs = space.conditional(v, u)
-                rhs = space.conditional(v, x) * x_given_u
-                if lhs != rhs:
-                    out.append(
-                        f"CP3: mu({sorted(v)}|{sorted(u)}) = {lhs} but "
-                        f"mu({sorted(v)}|{sorted(x)}) * mu({sorted(x)}|{sorted(u)}) = {rhs}"
-                    )
+        x_given_u = space.conditional(x, u)
+        for v_tuple in _subsets_within_limit(x, f"the CP3 findings on {sorted(x)}"):
+            v = frozenset(v_tuple)
+            lhs = space.conditional(v, u)
+            rhs = space.conditional(v, x) * x_given_u
+            if lhs != rhs:
+                out.append(
+                    f"CP3: mu({sorted(v)}|{sorted(u)}) = {lhs} but "
+                    f"mu({sorted(v)}|{sorted(x)}) * mu({sorted(x)}|{sorted(u)}) = {rhs}"
+                )
     return out
 
 
 def _popper_closure_findings(space: PopperSpace):
-    out = []
     fam = space.family()
     full = space.algebra.full_event()
+    closed = all(u | {a} in fam for u in fam for a in full - u)
+    out = []
     for u in space.conditioning_events:
-        for extra in subsets(sorted(full - u)):
-            v = u | frozenset(extra)
-            if v not in fam:
-                out.append(
-                    f"closure: {sorted(u)} in family but superset {sorted(v)} is not"
-                )
-        if u not in space.table:
+        if not closed:
+            for extra in _subsets_within_limit(full - u, f"the supersets of {sorted(u)}"):
+                v = u | frozenset(extra)
+                if v not in fam:
+                    out.append(
+                        f"closure: {sorted(u)} in family but superset {sorted(v)} is not"
+                    )
+        row = space.table.get(u)
+        if row is None:
             continue
-        for v_tuple in subsets(sorted(u)):
+        if closed and all(frozenset({a}) in fam for a in u if row.mass[a] != 0):
+            continue
+        for v_tuple in _subsets_within_limit(u, f"the sub-events of {sorted(u)}"):
             v = frozenset(v_tuple)
             if v and space.conditional(v, u) != 0 and v not in fam:
                 out.append(
@@ -194,11 +268,22 @@ def validate_popper(space: PopperSpace, level: str = "popper") -> ValidationRepo
     findings = algebra_findings(space.algebra)
     if findings:
         return ValidationReport(tuple(findings))
-    findings = _cps_findings(space)
+    findings = _cp_findings(space)
+    rows = _integer_rows(space)
     if level == "popper":
-        findings += _popper_closure_findings(space)
-    elif level == "treelike":
-        findings += _treelike_findings(space)
+        closure = _popper_closure_findings(space)
+        # Covering pairs stand for all nested pairs only on a closed family
+        # with CP1 and no other finding.
+        if not findings and not closure and all(
+            _chain_rule_on_atoms(rows, x, u) for x, u in _covering_pairs(space)
+        ):
+            return ValidationReport(())
+        findings += _cp3_findings(space, rows, _nested_pairs(space))
+        findings += closure
+    else:
+        findings += _cp3_findings(space, rows, _nested_pairs(space))
+        if level == "treelike":
+            findings += _treelike_findings(space)
     return ValidationReport(tuple(findings))
 
 

@@ -6,6 +6,9 @@ fast paths against them on small seeded spaces.
 
 from fractions import Fraction
 
+from extprob.popper import _treelike_findings
+from extprob.spaces import algebra_findings, subsets
+
 
 def _key(ev):
     return tuple(sorted(ev))
@@ -55,3 +58,76 @@ def treelike_levels(space):
             for a in range(space.algebra.n_atoms)
         ))
     return tuple(rows)
+
+
+def _cps_findings(space):
+    out = []
+    fam = space.conditioning_events
+    if frozenset() in fam:
+        out.append("conditioning family contains the empty event")
+    for u in fam:
+        row = space.table.get(u)
+        if row is None:
+            out.append(f"no conditional stored for {sorted(u)}")
+            continue
+        out.extend(row.invariant_findings(where=f"conditional given {sorted(u)}"))
+        if row.event_mass(u) != 1:
+            out.append(
+                f"CP1: mu({sorted(u)} | {sorted(u)}) = {row.event_mass(u)}, not 1"
+            )
+    # Chain rule over nested pairs of conditioning events, all sub-events.
+    for u in fam:
+        if u not in space.table:
+            continue
+        for x in fam:
+            if x not in space.table or not (x <= u):
+                continue
+            x_given_u = space.conditional(x, u)
+            for v_tuple in subsets(sorted(x)):
+                v = frozenset(v_tuple)
+                lhs = space.conditional(v, u)
+                rhs = space.conditional(v, x) * x_given_u
+                if lhs != rhs:
+                    out.append(
+                        f"CP3: mu({sorted(v)}|{sorted(u)}) = {lhs} but "
+                        f"mu({sorted(v)}|{sorted(x)}) * mu({sorted(x)}|{sorted(u)}) = {rhs}"
+                    )
+    return out
+
+
+def _popper_closure_findings(space):
+    out = []
+    fam = space.family()
+    full = space.algebra.full_event()
+    for u in space.conditioning_events:
+        for extra in subsets(sorted(full - u)):
+            v = u | frozenset(extra)
+            if v not in fam:
+                out.append(
+                    f"closure: {sorted(u)} in family but superset {sorted(v)} is not"
+                )
+        if u not in space.table:
+            continue
+        for v_tuple in subsets(sorted(u)):
+            v = frozenset(v_tuple)
+            if v and space.conditional(v, u) != 0 and v not in fam:
+                out.append(
+                    f"closure: mu({sorted(v)}|{sorted(u)}) > 0 but {sorted(v)} not in family"
+                )
+    return out
+
+
+def popper_findings(space, level):
+    """Findings of Popper validation at ``level``, from the exhaustive
+    check: the chain rule on every sub-event of every nested pair, and
+    closure over every superset and every positive sub-event.  The
+    treelike findings are the library's own (no shortcut touches them)."""
+    findings = algebra_findings(space.algebra)
+    if findings:
+        return findings
+    findings = _cps_findings(space)
+    if level == "popper":
+        findings += _popper_closure_findings(space)
+    elif level == "treelike":
+        findings += _treelike_findings(space)
+    return findings

@@ -11,7 +11,7 @@ from extprob.cli import main
 from extprob.field import EPS, ONE
 from extprob.lps import LPS
 from extprob.npsbridge import lps_to_nps, nps_to_popper
-from extprob.popper import PopperSpace
+from extprob.popper import SUBEVENT_LIMIT, PopperSpace
 from extprob.spaces import NonstdMeasure, RandomVariable, SpaceAlgebra, StdMeasure
 
 F = Fraction
@@ -206,7 +206,7 @@ class TestWitnessCommand:
 class TestTreelikePaths:
     def test_validate_and_convert_treelike(self, tmp_path, capsys):
         abc = SpaceAlgebra.discrete(["a", "b", "c"])
-        from extprob.popper import PopperSpace
+        from extprob.popper import SUBEVENT_LIMIT, PopperSpace
 
         space = PopperSpace.from_rows(
             abc,
@@ -388,6 +388,34 @@ class TestMalformedInput:
             capsys,
         )
         assert "bad rational" in err
+
+
+class TestSizeLimit:
+    """A 26-atom table is answered at once or refused by name, never by
+    listing 2^25 sub-events."""
+
+    ATOMS = SpaceAlgebra.discrete([f"w{i}" for i in range(26)])
+
+    def test_missing_supersets_over_limit(self, tmp_path, capsys):
+        only = PopperSpace.from_rows(self.ATOMS, {(0,): [1] + [0] * 25})
+        path = write(tmp_path, "single.json", only)
+        start = time.perf_counter()
+        assert main(["validate", "--level", "popper", "--in", path]) == 3
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(SUBEVENT_LIMIT) in captured.err
+
+    def test_valid_nested_table_at_cps_level(self, tmp_path, capsys):
+        rows = {
+            tuple(range(26)): [F(1, 26)] * 26,
+            tuple(range(25)): [F(1, 25)] * 25 + [0],
+        }
+        path = write(tmp_path, "nested.json", PopperSpace.from_rows(self.ATOMS, rows))
+        start = time.perf_counter()
+        assert main(["validate", "--level", "cps", "--in", path]) == 0
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().out == "popper_space: valid at level cps\n"
 
 
 class TestFixtures:

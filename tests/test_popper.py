@@ -5,8 +5,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from genspaces import algebra_of, random_treelike_space
-from oracles import treelike_levels
+from genspaces import algebra_of, random_row, random_treelike_space
+from genspaces import random_slps as draw_slps
+from oracles import popper_findings, treelike_levels
 
 from extprob.errors import InvalidPopperSpaceError, NotAnSlpsError, NotTreelikeError
 from extprob.lps import LPS, classify_lps
@@ -93,6 +94,36 @@ class TestValidate:
             "closure: [2] in family but superset [0, 1, 2] is not",
         ]
 
+    @pytest.mark.parametrize(
+        "algebra, rows, finding",
+        [
+            # No covering pair and no superset closure: CP3 on (x, space).
+            (
+                W4,
+                {(0, 1, 2, 3): (F(1, 4),) * 4, (0, 1): (F(1, 3), F(2, 3), 0, 0)},
+                "CP3: mu([0]|[0, 1, 2, 3]) = 1/4 but "
+                "mu([0]|[0, 1]) * mu([0, 1]|[0, 1, 2, 3]) = 1/6",
+            ),
+            # Closed family, covering pairs hold, mass outside [0] breaks CP1.
+            (
+                AB,
+                {(0,): (F(1, 2), F(1, 2)), (1,): (0, 1), (0, 1): (0, 1)},
+                "CP3: mu([0]|[0]) = 1/2 but mu([0]|[0]) * mu([0]|[0]) = 1/4",
+            ),
+            # Closed family, mass on atom 1 whose singleton is missing.
+            (
+                AB,
+                {(0,): (1, 0), (0, 1): (F(1, 2), F(1, 2))},
+                "closure: mu([1]|[0, 1]) > 0 but [1] not in family",
+            ),
+        ],
+    )
+    def test_shortcut_guards_match_oracle(self, algebra, rows, finding):
+        space = PopperSpace.from_rows(algebra, rows)
+        findings = list(validate_popper(space, "popper").findings)
+        assert finding in findings
+        assert findings == popper_findings(space, "popper")
+
     def test_nonnested_overlap_not_treelike(self):
         space = PopperSpace.from_rows(
             ABC,
@@ -103,6 +134,66 @@ class TestValidate:
         )
         report = validate_popper(space, "treelike")
         assert any("T2" in f for f in report.findings)
+
+
+def table_space(algebra, rows):
+    """Popper space from ``{event: mass list}``, in the given event order."""
+    table = {u: StdMeasure(algebra, tuple(m)) for u, m in rows.items()}
+    return PopperSpace(algebra, tuple(table), table)
+
+
+def broken_copies(rng, space):
+    """Copies of a valid table, each broken in one way: a perturbed row, a
+    dropped event, mass moved outside its event, a negative mass, and a
+    random sub-family with random rows."""
+    algebra, n = space.algebra, space.algebra.n_atoms
+    rows = {u: list(space.table[u].mass) for u in space.conditioning_events}
+    u = rng.choice(list(rows))
+    inside = sorted(u)
+    row = rows[u]
+    heavy = rng.choice([a for a in inside if row[a] != 0])
+    out = []
+    if len(inside) > 1:
+        other = rng.choice([a for a in inside if a != heavy])
+        moved = row[heavy] / rng.randint(2, 4)
+        perturbed = row[:]
+        perturbed[heavy] -= moved
+        perturbed[other] += moved
+        out.append(table_space(algebra, {**rows, u: perturbed}))
+        negative = row[:]
+        negative[other] -= 1
+        negative[heavy] += 1
+        out.append(table_space(algebra, {**rows, u: negative}))
+    if len(rows) > 1:
+        out.append(table_space(algebra, {e: m for e, m in rows.items() if e != u}))
+    if len(inside) < n:
+        outside = row[:]
+        outside[rng.choice([a for a in range(n) if a not in u])] += row[heavy] / 2
+        outside[heavy] /= 2
+        out.append(table_space(algebra, {**rows, u: outside}))
+    family = rng.sample(list(rows), rng.randint(1, len(rows)))
+    out.append(table_space(algebra, {
+        e: list(random_row(rng, n, rng.sample(sorted(e), rng.randint(1, len(e)))))
+        for e in family
+    }))
+    return out
+
+
+def test_validation_matches_exhaustive_oracle():
+    # The exhaustive oracle costs about 4^n per level, so few draws are large.
+    rng = random.Random(41)
+    verdicts = {level: set() for level in ("cps", "popper", "treelike")}
+    tables = 0
+    for n in [1] * 5 + [2, 3, 4] * 24 + [5] * 8 + [6]:
+        image = slps_to_popper(draw_slps(rng, algebra_of(n)))
+        for space in [image] + broken_copies(rng, image):
+            tables += 1
+            for level in verdicts:
+                got = list(validate_popper(space, level).findings)
+                assert got == popper_findings(space, level)
+                verdicts[level].add(not got)
+    assert tables >= 400
+    assert all(seen == {True, False} for seen in verdicts.values())
 
 
 class TestSlpsToPopper:
