@@ -3,9 +3,10 @@
 Exit codes: 0 success or affirmative verdict; 1 well-formed negative
 verdict (invalid space, inequivalent, not independent, belief fails,
 fixture assertion fails, conversion precondition unmet); 2 usage error;
-3 input parse or validation error.  Reports are printed in full only after
-a command succeeds, and every enumeration is emitted in lexicographic
-index order, so identical invocations produce byte-identical output.
+3 input parse or validation error, or an input over a size limit.  Reports
+are printed in full only after a command succeeds, and every enumeration is
+emitted in lexicographic index order, so identical invocations produce
+byte-identical output.
 
 File formats (JSON, exact; no floats anywhere):
 
@@ -41,7 +42,7 @@ import sys
 
 from . import jsonio
 from .belief import LPS_KINDS, NPS_KINDS, POPPER_KINDS, believes
-from .errors import ExtprobError
+from .errors import ExtprobError, SizeLimitError
 from .fixtures import FIXTURES, run_fixture
 from .independence import approx_indep_set, indep_events, verify_indep_witness, weak_indep
 from .lps import LPS, equivalence, reduce_lps
@@ -163,6 +164,8 @@ def cmd_convert(args):
         _check_measure(args.infile, obj)
     try:
         result = _CONVERSIONS[route](obj)
+    except SizeLimitError:
+        raise  # refused by size: exit 3 with the message, not a verdict
     except ExtprobError as exc:
         raise _Negative([f"cannot convert: {exc}"]) from None
     return _emit([f"converted {args.source} to {args.target}"],

@@ -3,11 +3,11 @@ systems and conditional-probability spaces.
 
 The embedding direction weights the levels of a lexicographic system with
 the fixed schedule ``1 - eps - ... - eps^k, eps, ..., eps^k``.  The inverse
-direction peels standard parts off the measure: at each step the residual
-is rescaled by its largest entry, the new standard layer is extracted, any
-negative layer is repaired by adding enough of the earlier layers and
-renormalizing, and the loop stops when the residual vanishes.  The result
-is an exact decomposition ``nu = sum(eps_i * mu_i)`` whose coefficients are
+direction peels standard parts off the measure: at each step the new
+standard layer is the standard part of the residual relative to its largest
+entry, any negative layer is repaired by adding enough of the earlier
+layers and renormalizing, and the loop stops when the residual vanishes.
+The result is an exact decomposition ``nu = sum(eps_i * mu_i)`` whose coefficients are
 positive, sum to one, and fall infinitely fast (consecutive ratios have
 standard part zero), which is precisely the condition under which the
 measure and the system order all random variables identically.
@@ -15,8 +15,8 @@ measure and the system order all random variables identically.
 Two equivalence relations are decided here: the fine one (identical
 orderings of all random variables, decided through the decompositions and
 certified), and the coarse one (same zero events and same standard parts
-of all conditional probabilities, decided by exhaustive event enumeration,
-meant for at most 16 atoms).
+of all conditional probabilities, decided on the events of one or two
+atoms).
 """
 
 from __future__ import annotations
@@ -61,21 +61,31 @@ class Decomposition:
 
 
 def _standard_layers(nu: NonstdMeasure):
-    """Split the mass vector into standard layers with fast-falling scales."""
+    """Split the mass vector into standard layers with fast-falling scales.
+
+    Returns ``(layers, scales)`` with ``nu.mass == sum(scales[k] * layers[k])``.
+    The residual is kept unnormalised: layer k is the standard part of the
+    residual relative to scale k, the largest residual entry (in absolute
+    value) that layers 0 to k-1 leave, so each ratio is limited.  Peeling
+    by division instead, which divides the residual by its largest entry
+    at every step and takes plain standard parts, divides by exactly that
+    entry over the previous scale; its running product of divisors is this
+    scale, and its layers are these, as exact values.  ``st_ratio`` reads
+    only lowest-order terms and forms no quotient, so polynomial masses
+    need no gcd at all.
+    """
     layers = []
     scales = []
-    current = list(nu.mass)
+    residual = list(nu.mass)
     scale = ONE
     for _ in range(nu.algebra.n_atoms + 1):
-        std = [m.standard_part() for m in current]
-        layers.append(std)
+        layer = [st_ratio(r, scale) for r in residual]
+        layers.append(layer)
         scales.append(scale)
-        residual = [m - NonstdNumber.from_fraction(s) for m, s in zip(current, std)]
-        step = max((abs(r) for r in residual), default=ZERO)
-        if step.is_zero:
+        residual = [r - scale * s for r, s in zip(residual, layer)]
+        scale = max((abs(r) for r in residual), default=ZERO)
+        if scale.is_zero:
             break
-        current = [r / step for r in residual]
-        scale = scale * step
     else:
         raise AssertionError("residual failed to vanish within the atom bound")
     return layers, scales
@@ -128,11 +138,39 @@ def _check_same_algebra(a: NonstdMeasure, b: NonstdMeasure):
         raise AlgebraMismatchError("measures live on different algebras")
 
 
+def _pair_standard_part(nu: NonstdMeasure, i: int, j: int):
+    """Standard part of nu({i} | {i, j}), or None when {i, j} has mass zero."""
+    total = nu.mass[i] + nu.mass[j]
+    return None if total.is_zero else st_ratio(nu.mass[i], total)
+
+
 def nps_equiv_simeq(a: NonstdMeasure, b: NonstdMeasure) -> bool:
     """Coarse equivalence: infinitesimal differences between conditionals
-    do not count.  Decided as equality of the conditional-space images."""
+    do not count.
+
+    True iff the conditional-space images agree: the same events have
+    measure zero and every conditional has the same standard part.  For
+    measures with nonnegative masses (which this requires) the events of
+    one or two atoms decide it.  An event's mass is then zero exactly when
+    each of its atoms has mass zero, and its order is the least order of
+    its atoms, so the standard part of mu({a} | v) is zero for an atom
+    above that order and otherwise the lowest-order coefficient of a over
+    the sum of those coefficients across the atoms of v at that order.  The
+    pair conditionals st(mu({i} | {i, j})) are 1, 0 or strictly between as
+    i has lower, higher or the same order as j, and in the last case they
+    fix c_i / c_j; so they fix every conditional standard part.  Events are
+    visited in ``events()`` order, each singleton before the pairs it
+    opens, and the first that differs decides.
+    """
     _check_same_algebra(a, b)
-    return nps_to_popper(a) == nps_to_popper(b)
+    n = a.algebra.n_atoms
+    for i in range(n):
+        if a.mass[i].is_zero != b.mass[i].is_zero:
+            return False
+        for j in range(i + 1, n):
+            if _pair_standard_part(a, i, j) != _pair_standard_part(b, i, j):
+                return False
+    return True
 
 
 def nps_equiv_aeq(a: NonstdMeasure, b: NonstdMeasure) -> EquivCertificate:

@@ -159,11 +159,15 @@ def _cp_findings(space: PopperSpace):
     return out
 
 
-def _integer_rows(space: PopperSpace) -> dict:
-    """Each stored row as integer masses over one common denominator."""
+def _integer_rows(space: PopperSpace):
+    """Each stored row as integer masses over one common denominator, or
+    None when a mass has no denominator (it is not a rational)."""
     out = {}
     for u, row in space.table.items():
-        den = lcm(*(m.denominator for m in row.mass))
+        try:
+            den = lcm(*(m.denominator for m in row.mass))
+        except AttributeError:
+            return None
         out[u] = ([m.numerator * (den // m.denominator) for m in row.mass], den)
     return out
 
@@ -270,6 +274,10 @@ def validate_popper(space: PopperSpace, level: str = "popper") -> ValidationRepo
         return ValidationReport(tuple(findings))
     findings = _cp_findings(space)
     rows = _integer_rows(space)
+    if rows is None:
+        # CP3 and closure run on exact integers; the CP findings above name
+        # each mass that is not a rational.
+        return ValidationReport(tuple(findings))
     if level == "popper":
         closure = _popper_closure_findings(space)
         # Covering pairs stand for all nested pairs only on a closed family

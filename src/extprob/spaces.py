@@ -14,10 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import AlgebraMismatchError, ZeroConditioningError
+from .errors import AlgebraMismatchError, SizeLimitError, ZeroConditioningError
 from .field import NonstdNumber, ONE, ZERO
 
 Event = frozenset
+
+EVENT_LIMIT = 2**20
+"""Most events :meth:`SpaceAlgebra.events` lists; a larger algebra raises
+:class:`SizeLimitError`."""
 
 
 @dataclass(frozen=True)
@@ -48,7 +52,17 @@ class SpaceAlgebra:
         return ev
 
     def events(self, include_empty: bool = False):
-        """All events, in lexicographic order of their sorted index tuples."""
+        """All events, in lexicographic order of their sorted index tuples.
+
+        Raises :class:`SizeLimitError` before listing more than
+        :data:`EVENT_LIMIT` events.
+        """
+        count = 2 ** len(self.atoms) - (not include_empty)
+        if count > EVENT_LIMIT:
+            raise SizeLimitError(
+                f"listing the events of {len(self.atoms)} atoms needs {count} events, "
+                f"over the limit EVENT_LIMIT = {EVENT_LIMIT}"
+            )
         out = [frozenset()] if include_empty else []
         out.extend(frozenset(s) for s in sorted(subsets(range(len(self.atoms)))[1:]))
         return out
@@ -162,6 +176,13 @@ class StdMeasure(_MeasureBase):
             if m < 0:
                 out.append(f"{where}: negative mass {m} at atom {i}")
         total = sum(self.mass, start=Fraction(0))
+        if not isinstance(total, Fraction):
+            # Ints and Fractions sum to a Fraction, so some mass is neither.
+            return out + [
+                f"{where}: mass {m!r} at atom {i} is neither int nor Fraction"
+                for i, m in enumerate(self.mass)
+                if not isinstance(m, (int, Fraction))
+            ]
         if total != 1:
             out.append(f"{where}: masses sum to {total}, not 1")
         return out

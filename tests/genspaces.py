@@ -2,9 +2,10 @@
 
 from fractions import Fraction
 
-from extprob.field import ZERO
+from extprob.field import EPS, ONE, ZERO
 from extprob.fincof import FinCofEvent
 from extprob.lps import LPS
+from extprob.npsbridge import geometric_schedule, steep_schedule
 from extprob.popper import PopperSpace
 from extprob.spaces import NonstdMeasure, SpaceAlgebra, StdMeasure, subsets
 
@@ -63,6 +64,55 @@ def compose(system, schedule):
         for a in range(n)
     )
     return NonstdMeasure(system.algebra, masses)
+
+
+def triangular_variant(rng, base):
+    """Equivalent system built from random convex lower-triangular rows."""
+    rows = []
+    for i, m in enumerate(base.measures):
+        weights = [F(0)] * len(base.measures)
+        weights[i] = F(rng.randint(1, 5))
+        for j in range(i):
+            weights[j] = F(rng.randint(0, 3))
+        s = sum(weights)
+        weights = [w / s for w in weights]
+        rows.append(
+            tuple(
+                sum(
+                    (weights[j] * base.measures[j].mass[a] for j in range(i + 1)),
+                    F(0),
+                )
+                for a in range(base.algebra.n_atoms)
+            )
+        )
+    return LPS.from_rows(base.algebra, rows)
+
+
+def tilted(rng, nu):
+    """Some masses divided by 1 + k*eps (one k in 1..3 for the draw), then
+    renormalised: rational-function masses with the same conditional
+    standard parts."""
+    tilt = ONE + rng.randint(1, 3) * EPS
+    masses = [m / tilt if rng.random() < 0.5 else m for m in nu.mass]
+    total = sum(masses, ZERO)
+    return NonstdMeasure(nu.algebra, tuple(m / total for m in masses))
+
+
+def simeq_pair(rng, max_atoms=6):
+    """Two measures on 1 to ``max_atoms`` atoms, drawn to be coarsely
+    equivalent about as often as not: embeddings of a random system, of a
+    lower-triangular transform of it or of an independent draw, each under
+    the geometric or the steep schedule, the second one sometimes tilted."""
+    algebra = algebra_of(rng.randint(1, max_atoms))
+    system = random_lps(rng, algebra)
+    other = rng.choice((system, triangular_variant(rng, system), random_lps(rng, algebra)))
+
+    def embed(s):
+        schedule = rng.choice((geometric_schedule, steep_schedule))(len(s))
+        return compose(s, schedule)
+
+    a, b = embed(system), embed(other)
+    return a, (tilted(rng, b) if rng.random() < 0.25 else b)
 
 
 def random_forest(rng, algebra, max_depth=3):

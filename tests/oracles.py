@@ -6,6 +6,8 @@ fast paths against them on small seeded spaces.
 
 from fractions import Fraction
 
+from extprob.field import ONE, ZERO, NonstdNumber
+from extprob.npsbridge import nps_to_popper
 from extprob.popper import _treelike_findings
 from extprob.spaces import algebra_findings, subsets
 
@@ -131,3 +133,32 @@ def popper_findings(space, level):
     elif level == "treelike":
         findings += _treelike_findings(space)
     return findings
+
+
+def simeq_by_images(a, b):
+    """Coarse equivalence from its definition: the conditional-space images,
+    built over every event of nonzero mass, are equal."""
+    return nps_to_popper(a) == nps_to_popper(b)
+
+
+def standard_layers(nu):
+    """Layered peeling by exact division: the residual is divided by its
+    largest entry at every step, the layer is its standard part, and the
+    scale is the running product of the divisors."""
+    layers = []
+    scales = []
+    current = list(nu.mass)
+    scale = ONE
+    for _ in range(nu.algebra.n_atoms + 1):
+        std = [m.standard_part() for m in current]
+        layers.append(std)
+        scales.append(scale)
+        residual = [m - NonstdNumber.from_fraction(s) for m, s in zip(current, std)]
+        step = max((abs(r) for r in residual), default=ZERO)
+        if step.is_zero:
+            break
+        current = [r / step for r in residual]
+        scale = scale * step
+    else:
+        raise AssertionError("residual failed to vanish within the atom bound")
+    return layers, scales

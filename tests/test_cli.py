@@ -12,7 +12,7 @@ from extprob.field import EPS, ONE
 from extprob.lps import LPS
 from extprob.npsbridge import lps_to_nps, nps_to_popper
 from extprob.popper import SUBEVENT_LIMIT, PopperSpace
-from extprob.spaces import NonstdMeasure, RandomVariable, SpaceAlgebra, StdMeasure
+from extprob.spaces import EVENT_LIMIT, NonstdMeasure, RandomVariable, SpaceAlgebra, StdMeasure
 
 F = Fraction
 
@@ -416,6 +416,43 @@ class TestSizeLimit:
         assert main(["validate", "--level", "cps", "--in", path]) == 0
         assert time.perf_counter() - start < 1.0
         assert capsys.readouterr().out == "popper_space: valid at level cps\n"
+
+
+class TestEventLimit:
+    """Coarse equivalence on 24 atoms reads only the one- and two-atom
+    events; a conversion that lists every event refuses by name."""
+
+    @staticmethod
+    def levels(n, *rows):
+        return lps_to_nps(LPS.from_rows(SpaceAlgebra.discrete([f"w{i}" for i in range(n)]), rows))
+
+    def compare(self, tmp_path, a, b):
+        paths = [write(tmp_path, name, nu) for name, nu in (("a.json", a), ("b.json", b))]
+        start = time.perf_counter()
+        code = main(["compare", "--relation", "simeq", "--a", paths[0], "--b", paths[1]])
+        assert time.perf_counter() - start < 2.0
+        return code
+
+    def test_simeq_true_on_24_atoms(self, tmp_path, capsys):
+        uniform = self.levels(24, [F(1, 24)] * 24)
+        tiebreak = self.levels(24, [F(1, 24)] * 24, [1] + [0] * 23)
+        assert self.compare(tmp_path, uniform, tiebreak) == 0
+        assert capsys.readouterr().out == "simeq: true\n"
+
+    def test_simeq_false_on_24_atoms(self, tmp_path, capsys):
+        uniform = self.levels(24, [F(1, 24)] * 24)
+        last_atom_later = self.levels(24, [F(1, 23)] * 23 + [0], [0] * 23 + [1])
+        assert self.compare(tmp_path, uniform, last_atom_later) == 1
+        assert capsys.readouterr().out == "simeq: false\n"
+
+    def test_convert_to_popper_over_limit(self, tmp_path, capsys):
+        path = write(tmp_path, "nu.json", self.levels(26, [F(1, 26)] * 26))
+        start = time.perf_counter()
+        assert main(["convert", "--from", "nps", "--to", "popper", "--in", path]) == 3
+        assert time.perf_counter() - start < 2.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"EVENT_LIMIT = {EVENT_LIMIT}" in captured.err
 
 
 class TestFixtures:

@@ -7,6 +7,8 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from genspaces import triangular_variant
+
 from extprob._linalg import nullspace_basis, solve_combination
 from extprob.errors import AlgebraMismatchError, ZeroConditioningError
 from extprob.lps import EQ, GT, LT, LPS, equivalence, reduce_lps
@@ -152,28 +154,6 @@ def random_rv(rng, algebra):
     return RandomVariable.from_values(
         algebra, [rng.randint(-3, 3) for _ in range(algebra.n_atoms)]
     )
-
-
-def triangular_variant(rng, base):
-    """Equivalent system built from random convex lower-triangular rows."""
-    rows = []
-    for i, m in enumerate(base.measures):
-        weights = [F(0)] * len(base.measures)
-        weights[i] = F(rng.randint(1, 5))
-        for j in range(i):
-            weights[j] = F(rng.randint(0, 3))
-        s = sum(weights)
-        weights = [w / s for w in weights]
-        rows.append(
-            tuple(
-                sum(
-                    (weights[j] * base.measures[j].mass[a] for j in range(i + 1)),
-                    F(0),
-                )
-                for a in range(base.algebra.n_atoms)
-            )
-        )
-    return lps(base.algebra, *rows)
 
 
 class TestEquivalence:

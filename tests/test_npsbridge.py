@@ -6,16 +6,19 @@ from fractions import Fraction
 
 import pytest
 
-from genspaces import compose
+from genspaces import algebra_of, compose, simeq_pair
+from oracles import simeq_by_images, standard_layers
 
-from extprob.errors import AlgebraMismatchError, LengthMismatchError
+from extprob.errors import AlgebraMismatchError, LengthMismatchError, SizeLimitError
 from extprob.field import EPS, NonstdNumber, ONE, ZERO
 from extprob.lps import LPS, equivalence
 from extprob.npsbridge import (
     Decomposition,
+    _standard_layers,
     geometric_schedule,
     lps_to_nps,
     nps_equiv,
+    nps_equiv_simeq,
     nps_to_lps,
     nps_to_popper,
     steep_schedule,
@@ -145,6 +148,10 @@ class TestNpsToPopper:
         for _ in range(10):
             assert validate_popper(nps_to_popper(random_nps(rng)), "popper").is_valid
 
+    def test_refuses_more_events_than_the_limit(self):
+        with pytest.raises(SizeLimitError, match="EVENT_LIMIT = 1048576"):
+            nps_to_popper(nsm(algebra_of(21), *[F(1, 21)] * 21))
+
 
 class TestEquivalences:
     def test_mcgee_simeq_but_not_aeq(self):
@@ -203,6 +210,24 @@ class TestEquivalences:
                 conditioned = nu.condition(ev)
                 for a in range(n):
                     assert conditioned.mass[a].standard_part() == lead.mass[a]
+
+
+class TestAgainstOracles:
+    def test_simeq_and_layers_match_oracles(self):
+        """The pair-event simeq and the peeling without division against the
+        image comparison and the division-based peeling, on embeddings under
+        both schedules, triangular transforms, independent draws and tilted
+        rational-function masses, 1 to 6 atoms."""
+        rng = random.Random(59)
+        verdicts = {True: 0, False: 0}
+        for _ in range(1000):
+            a, b = simeq_pair(rng)
+            expected = simeq_by_images(a, b)
+            assert nps_equiv_simeq(a, b) is expected
+            verdicts[expected] += 1
+            for nu in (a, b):
+                assert _standard_layers(nu) == standard_layers(nu)
+        assert min(verdicts.values()) >= 200
 
 
 class TestVerifyAeqchar:

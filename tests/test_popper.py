@@ -9,7 +9,12 @@ from genspaces import algebra_of, random_row, random_treelike_space
 from genspaces import random_slps as draw_slps
 from oracles import popper_findings, treelike_levels
 
-from extprob.errors import InvalidPopperSpaceError, NotAnSlpsError, NotTreelikeError
+from extprob.errors import (
+    InvalidPopperSpaceError,
+    NotAnSlpsError,
+    NotTreelikeError,
+    SizeLimitError,
+)
 from extprob.lps import LPS, classify_lps
 from extprob.popper import (
     PopperSpace,
@@ -66,6 +71,14 @@ class TestValidate:
         space = PopperSpace.from_rows(AB, {(0,): (0, 1), (0, 1): (F(1, 2), F(1, 2))})
         report = validate_popper(space, "cps")
         assert any("CP1" in f for f in report.findings)
+
+    def test_float_masses_are_findings(self):
+        row = StdMeasure(AB, (0.5, 0.5))
+        space = PopperSpace(AB, (AB.full_event(),), {AB.full_event(): row})
+        assert validate_popper(space, "cps").findings == (
+            "conditional given [0, 1]: mass 0.5 at atom 0 is neither int nor Fraction",
+            "conditional given [0, 1]: mass 0.5 at atom 1 is neither int nor Fraction",
+        )
 
     def test_cp3_violation_reported(self):
         rows = {
@@ -235,6 +248,10 @@ class TestSlpsToPopper:
     def test_rejects_unstructured_input(self):
         with pytest.raises(NotAnSlpsError):
             slps_to_popper(lps(AB, (F(1, 2), F(1, 2)), (1, 0)))
+
+    def test_refuses_more_events_than_the_limit(self):
+        with pytest.raises(SizeLimitError, match="EVENT_LIMIT = 1048576"):
+            slps_to_popper(lps(algebra_of(21), [F(1, 21)] * 21))
 
 
 class TestPopperToSlps:
