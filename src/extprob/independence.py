@@ -25,7 +25,7 @@ from .field import st_ratio
 from .lps import LPS, equivalence
 from .npsbridge import nps_to_lps, nps_to_popper
 from .popper import PopperSpace
-from .spaces import Event, NonstdMeasure, RandomVariable, StdMeasure, subsets
+from .spaces import Event, NonstdMeasure, RandomVariable, StdMeasure, refuse_over_limit, subsets
 
 
 def _exact_conditional_match(nu: NonstdMeasure, u: Event, v: Event, given: Event) -> bool:
@@ -104,13 +104,21 @@ def approx_indep_set(nu: NonstdMeasure, x: RandomVariable, ys) -> bool:
 
     Quantifies over every value subset of x, and every pair of value
     subsets of each variable in ys (one inside the compared event, one in
-    the conditioning event).  Exponential in the range sizes.
+    the conditioning event).  Exponential in the range sizes, so it raises
+    :class:`SizeLimitError` before checking more than
+    :data:`spaces.EVENT_LIMIT` event triples.
     """
     ys = list(ys)
     for rv in [x] + ys:
         if rv.algebra != nu.algebra:
             raise AlgebraMismatchError("variables on a different algebra")
     y_ranges = [y.range_values() for y in ys]
+    refuse_over_limit(
+        f"checking set independence on {len(x.range_values())} values of x "
+        f"and {[len(r) for r in y_ranges]} values of ys",
+        2 ** len(x.range_values()) * 4 ** sum(len(r) for r in y_ranges),
+        unit="event triples",
+    )
     for u_values in subsets(x.range_values()):
         u_event = x.preimage_event(u_values)
         for v_choice in product(*(subsets(r) for r in y_ranges)):

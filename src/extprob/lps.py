@@ -6,9 +6,12 @@ earlier measures dominating.  Two systems are equivalent when they order
 every pair of random variables identically.  That universal statement is
 decided here on reduced (linearly independent) sequences: equivalence holds
 exactly when each reduced sequence is a lower-triangular positive-diagonal
-transform of the other, and every verdict ships with machine-checkable
-evidence, either the pair of transform matrices or a separating pair of
-random variables.  Each verdict is re-checked against its own evidence
+transform of the other.  One pass over the levels decides it: level i of
+the second sequence is solved over levels 0 to i of the first, and the
+first level at which that fails is the only place a separating pair of
+random variables needs to be sought, with one null-space solve.  Every
+verdict ships with machine-checkable evidence, either the pair of
+transform matrices or the separating pair, and is re-checked against it
 before it is returned.
 """
 
@@ -194,19 +197,22 @@ def _matrix_rebuilds(matrix, src: LPS, dst: LPS) -> bool:
 
 
 def _triangular_coeffs(src_rows, dst_rows):
-    """Lower-triangular rows expressing dst over src, or None.
+    """Lower-triangular rows expressing dst over src, and the first level
+    at which that fails (None when no level does).
 
     Row i must be a combination of src_rows[0..i] with a positive
-    coefficient on src_rows[i].
+    coefficient on src_rows[i]; a level that only one family has fails.
     """
     out = []
-    for i, target in enumerate(dst_rows):
-        coeffs = _linalg.solve_combination(src_rows[: i + 1], target)
+    for i in range(max(len(src_rows), len(dst_rows))):
+        if i >= len(src_rows) or i >= len(dst_rows):
+            return tuple(out), i
+        coeffs = _linalg.solve_combination(src_rows[: i + 1], dst_rows[i])
         if coeffs is None or coeffs[i] <= 0:
-            return None
+            return tuple(out), i
         padded = tuple(coeffs) + tuple(Fraction(0) for _ in range(len(dst_rows) - i - 1))
         out.append(padded)
-    return tuple(out)
+    return tuple(out), None
 
 
 def _restrict(functional, basis):
@@ -216,61 +222,27 @@ def _restrict(functional, basis):
     )
 
 
-def _separating_vector(rows_a, rows_b, n):
-    """Atom vector z whose first nonzero level signs differ between the
-    two row families, or None when the lexicographic sign functions agree.
+def _separate_at(rows_a, rows_b, i, n):
+    """Atom vector z on which the two families' first nonzero levels have
+    different signs, given that i is the first failing level.
 
-    Enumerates the candidate decision levels (i, j); for each it solves, on
-    the subspace annihilated by the earlier rows of both families, for a
-    vector that is strictly positive at level i of one family and strictly
-    negative (or absent) at level j of the other.
+    On the null space of the rows below i, level i of the first family is
+    solved to +1 and level i of the second to -1; when that has no
+    solution, or one family has no level i, the one present level alone is
+    solved to +1 (first family) or -1 (second family).
     """
-    ha, hb = len(rows_a), len(rows_b)
-    for i in range(ha + 1):
-        for j in range(hb + 1):
-            if i == ha and j == hb:
-                continue
-            constraints = list(rows_a[:i]) + list(rows_b[:j])
-            basis = _linalg.nullspace_basis(constraints, n)
-            if not basis:
-                continue
-            f = _restrict(rows_a[i], basis) if i < ha else None
-            g = _restrict(rows_b[j], basis) if j < hb else None
-            z = _pick_signed(f, g, basis, n)
-            if z is not None:
-                return z
-    return None
-
-
-def _pick_signed(f, g, basis, n):
-    """Coordinates in span(basis) with f > 0 and g < 0 (None = unconstrained)."""
-    def assemble(coords):
-        vec = [Fraction(0)] * n
-        for c, b in zip(coords, basis):
-            for a in range(n):
-                vec[a] += c * b[a]
-        return tuple(vec)
-
-    m = len(basis)
+    basis = _linalg.nullspace_basis(rows_a[:i] + rows_b[:i], n)
+    f = _restrict(rows_a[i], basis) if i < len(rows_a) else None
+    g = _restrict(rows_b[i], basis) if i < len(rows_b) else None
+    coords = None
     if f is not None and g is not None:
-        if all(x == 0 for x in f) or all(x == 0 for x in g):
-            return None
-        columns = [(f[j], g[j]) for j in range(m)]
-        coords = _linalg.solve_combination(columns, (Fraction(1), Fraction(-1)))
-        if coords is not None:
-            return assemble(coords)
-        # g proportional to f; separation only if the factor is negative.
-        k = next(i for i in range(m) if f[i] != 0)
-        lam = g[k] / f[k]
-        if lam >= 0:
-            return None
-        coords = _linalg.solve_combination([(x,) for x in f], (Fraction(1),))
-        return assemble(coords)
-    h, want = (f, Fraction(1)) if f is not None else (g, Fraction(-1))
-    if all(x == 0 for x in h):
-        return None
-    coords = _linalg.solve_combination([(x,) for x in h], (want,))
-    return assemble(coords)
+        coords = _linalg.solve_combination(list(zip(f, g)), (Fraction(1), Fraction(-1)))
+    if coords is None:
+        h, want = (f, Fraction(1)) if f is not None else (g, Fraction(-1))
+        coords = _linalg.solve_combination([(x,) for x in h], (want,))
+    return tuple(
+        sum((c * vec[a] for c, vec in zip(coords, basis)), Fraction(0)) for a in range(n)
+    )
 
 
 def _split_witness(algebra: SpaceAlgebra, z) -> tuple:
@@ -287,27 +259,31 @@ def equivalence(a: LPS, b: LPS) -> EquivCertificate:
     """Decide whether two systems order all random variables identically.
 
     Returns a self-verified certificate: triangular transform matrices when
-    equivalent, a separating pair of random variables when not.
+    equivalent, a separating pair of random variables when not.  Level i
+    of the reduced second system is solved over levels 0 to i of the
+    reduced first.  When every level passes and the lengths agree, the
+    forward matrix is lower triangular with positive diagonal, so its
+    inverse, the backward matrix, is too.  Otherwise let i be the first
+    failing level.  Below i both families span the same space, so on its
+    null space every vector is zero at levels 0 to i-1 of both, and one
+    whose level i is positive under the first and negative (or absent)
+    under the second separates them.  Each level i present is nonzero on
+    that null space, as each family is independent; if the second's is a
+    multiple of the first's there, the factor is negative because level i
+    failed, and solving the first's alone for +1 suffices.
     """
     if a.algebra != b.algebra:
         raise AlgebraMismatchError("systems live on different algebras")
-    ra, rb = reduce_lps(a), reduce_lps(b)
-    rows_a = [m.mass for m in ra.measures]
-    rows_b = [m.mass for m in rb.measures]
-    forward = backward = None
-    if len(rows_a) == len(rows_b):
-        forward = _triangular_coeffs(rows_a, rows_b)
-        backward = _triangular_coeffs(rows_b, rows_a) if forward else None
-    if forward and backward:
+    rows_a = [m.mass for m in reduce_lps(a).measures]
+    rows_b = [m.mass for m in reduce_lps(b).measures]
+    forward, level = _triangular_coeffs(rows_a, rows_b)
+    if level is None:
+        backward, _ = _triangular_coeffs(rows_b, rows_a)
         cert = EquivCertificate(
             "equivalent", a, b, forward_matrix=forward, backward_matrix=backward
         )
     else:
-        z = _separating_vector(rows_a, rows_b, a.algebra.n_atoms)
-        if z is None:
-            raise AssertionError(
-                "triangular criterion failed but no separating variable exists"
-            )
+        z = _separate_at(rows_a, rows_b, level, a.algebra.n_atoms)
         cert = EquivCertificate("inequivalent", a, b, witness=_split_witness(a.algebra, z))
     if not cert.verify():
         raise AssertionError("equivalence certificate failed its self-check")

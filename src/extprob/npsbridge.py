@@ -203,8 +203,8 @@ def verify_aeqchar(lps: LPS, coefficients) -> bool:
     if sum(coeffs, ZERO) != ONE:
         return False
     for early, late in zip(coeffs, coeffs[1:]):
-        ratio = late / early
-        if not ratio.is_limited or ratio.standard_part() != 0:
+        # Both are positive, so late / early is infinitesimal iff its order is.
+        if late.order() <= early.order():
             return False
     return equivalence(nps_to_lps(_compose(lps, coeffs)).lps, lps).equivalent
 

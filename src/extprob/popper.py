@@ -46,16 +46,11 @@ from .errors import (
     InvalidPopperSpaceError,
     NotAnSlpsError,
     NotTreelikeError,
-    SizeLimitError,
     ZeroConditioningError,
 )
 from .lps import LPS, classify_lps
-from .spaces import Event, SpaceAlgebra, StdMeasure, ValidationReport, algebra_findings, subsets
-
-
-SUBEVENT_LIMIT = 2**20
-"""Most sub-events or supersets of one event listed to word the findings
-of a failed check; a larger listing raises :class:`SizeLimitError`."""
+from .spaces import Event, SpaceAlgebra, StdMeasure, ValidationReport, algebra_findings
+from .spaces import refuse_over_limit, subsets
 
 
 def _key(ev: Event):
@@ -129,18 +124,6 @@ def forest_shape(space: PopperSpace) -> dict:
     return parents
 
 
-def _subsets_within_limit(atoms, what):
-    """``subsets(sorted(atoms))``, refused when it would list more than
-    :data:`SUBEVENT_LIMIT` events."""
-    count = 2 ** len(atoms)
-    if count > SUBEVENT_LIMIT:
-        raise SizeLimitError(
-            f"listing {what} needs {count} events, over the limit "
-            f"SUBEVENT_LIMIT = {SUBEVENT_LIMIT}"
-        )
-    return subsets(sorted(atoms))
-
-
 def _cp_findings(space: PopperSpace):
     out = []
     fam = space.conditioning_events
@@ -201,7 +184,8 @@ def _cp3_findings(space: PopperSpace, rows: dict, pairs):
         if _chain_rule_on_atoms(rows, x, u):
             continue
         x_given_u = space.conditional(x, u)
-        for v_tuple in _subsets_within_limit(x, f"the CP3 findings on {sorted(x)}"):
+        refuse_over_limit(f"listing the CP3 findings on {sorted(x)}", 2 ** len(x))
+        for v_tuple in subsets(sorted(x)):
             v = frozenset(v_tuple)
             lhs = space.conditional(v, u)
             rhs = space.conditional(v, x) * x_given_u
@@ -220,7 +204,8 @@ def _popper_closure_findings(space: PopperSpace):
     out = []
     for u in space.conditioning_events:
         if not closed:
-            for extra in _subsets_within_limit(full - u, f"the supersets of {sorted(u)}"):
+            refuse_over_limit(f"listing the supersets of {sorted(u)}", 2 ** len(full - u))
+            for extra in subsets(sorted(full - u)):
                 v = u | frozenset(extra)
                 if v not in fam:
                     out.append(
@@ -231,7 +216,8 @@ def _popper_closure_findings(space: PopperSpace):
             continue
         if closed and all(frozenset({a}) in fam for a in u if row.mass[a] != 0):
             continue
-        for v_tuple in _subsets_within_limit(u, f"the sub-events of {sorted(u)}"):
+        refuse_over_limit(f"listing the sub-events of {sorted(u)}", 2 ** len(u))
+        for v_tuple in subsets(sorted(u)):
             v = frozenset(v_tuple)
             if v and space.conditional(v, u) != 0 and v not in fam:
                 out.append(

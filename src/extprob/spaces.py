@@ -20,8 +20,17 @@ from .field import NonstdNumber, ONE, ZERO
 Event = frozenset
 
 EVENT_LIMIT = 2**20
-"""Most events :meth:`SpaceAlgebra.events` lists; a larger algebra raises
-:class:`SizeLimitError`."""
+"""Most events an exponential routine lists or checks; a larger input
+raises :class:`SizeLimitError` through :func:`refuse_over_limit`."""
+
+
+def refuse_over_limit(what: str, count: int, unit: str = "events"):
+    """Raise :class:`SizeLimitError` when ``what`` needs more than
+    :data:`EVENT_LIMIT` of ``unit``."""
+    if count > EVENT_LIMIT:
+        raise SizeLimitError(
+            f"{what} needs {count} {unit}, over the limit EVENT_LIMIT = {EVENT_LIMIT}"
+        )
 
 
 @dataclass(frozen=True)
@@ -57,12 +66,10 @@ class SpaceAlgebra:
         Raises :class:`SizeLimitError` before listing more than
         :data:`EVENT_LIMIT` events.
         """
-        count = 2 ** len(self.atoms) - (not include_empty)
-        if count > EVENT_LIMIT:
-            raise SizeLimitError(
-                f"listing the events of {len(self.atoms)} atoms needs {count} events, "
-                f"over the limit EVENT_LIMIT = {EVENT_LIMIT}"
-            )
+        refuse_over_limit(
+            f"listing the events of {len(self.atoms)} atoms",
+            2 ** len(self.atoms) - (not include_empty),
+        )
         out = [frozenset()] if include_empty else []
         out.extend(frozenset(s) for s in sorted(subsets(range(len(self.atoms)))[1:]))
         return out
@@ -207,6 +214,13 @@ class NonstdMeasure(_MeasureBase):
         if len(self.mass) != self.algebra.n_atoms:
             out.append(f"{where}: {len(self.mass)} masses for {self.algebra.n_atoms} atoms")
             return out
+        foreign = [
+            f"{where}: mass {m!r} at atom {i} is not a NonstdNumber"
+            for i, m in enumerate(self.mass)
+            if not isinstance(m, NonstdNumber)
+        ]
+        if foreign:
+            return foreign
         for i, m in enumerate(self.mass):
             if m.sign() < 0:
                 out.append(f"{where}: negative mass {m} at atom {i}")

@@ -4,8 +4,8 @@ from fractions import Fraction
 
 from extprob.field import EPS, ONE, ZERO
 from extprob.fincof import FinCofEvent
-from extprob.lps import LPS
-from extprob.npsbridge import geometric_schedule, steep_schedule
+from extprob.lps import LPS, reduce_lps
+from extprob.npsbridge import geometric_schedule, lps_to_nps, nps_to_lps, steep_schedule
 from extprob.popper import PopperSpace
 from extprob.spaces import NonstdMeasure, SpaceAlgebra, StdMeasure, subsets
 
@@ -113,6 +113,52 @@ def simeq_pair(rng, max_atoms=6):
 
     a, b = embed(system), embed(other)
     return a, (tilted(rng, b) if rng.random() < 0.25 else b)
+
+
+def reflected_level(rng, base):
+    """The system with one level i >= 1 replaced by a mixture of levels
+    i-1 and i whose weight on level i is negative, when level i-1 covers
+    the support of level i; otherwise the system unchanged."""
+    levels = [m.mass for m in base.measures]
+    options = [
+        i for i in range(1, len(levels))
+        if all(p > 0 for p, q in zip(levels[i - 1], levels[i]) if q > 0)
+    ]
+    if not options:
+        return base
+    i = rng.choice(options)
+    prev, cur = levels[i - 1], levels[i]
+    x = max(q / p for p, q in zip(prev, cur) if q > 0) + rng.randint(1, 3)
+    levels[i] = tuple((x * p - q) / (x - 1) for p, q in zip(prev, cur))
+    return LPS.from_rows(base.algebra, levels)
+
+
+def aeq_pair(rng, max_atoms=6, max_len=5):
+    """Two systems on 1 to ``max_atoms`` atoms with 1 to ``max_len``
+    levels (dependent levels included), equivalent in about three draws
+    of five: the second is the first itself, a triangular
+    transform of its reduction, the first with a level reflected to a
+    negative diagonal, with its levels permuted, cut short or extended, or
+    an independent draw.  Either may be passed through the NPS embedding
+    and back."""
+    algebra = algebra_of(rng.randint(1, max_atoms))
+    a = random_lps(rng, algebra, max_len=max_len)
+    shuffled = list(a.measures)
+    rng.shuffle(shuffled)
+    b = rng.choice((
+        lambda: a,
+        lambda: triangular_variant(rng, reduce_lps(a)),
+        lambda: reflected_level(rng, reduce_lps(a)),
+        lambda: LPS(algebra, tuple(shuffled)),
+        lambda: LPS(algebra, a.measures[: rng.randint(1, len(a))]),
+        lambda: LPS(algebra, a.measures + random_lps(rng, algebra, max_len=2).measures),
+        lambda: random_lps(rng, algebra, max_len=max_len),
+    ))()
+
+    def maybe_round_trip(s):
+        return nps_to_lps(lps_to_nps(s)).lps if rng.random() < 0.2 else s
+
+    return maybe_round_trip(a), maybe_round_trip(b)
 
 
 def random_forest(rng, algebra, max_depth=3):

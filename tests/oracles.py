@@ -6,7 +6,9 @@ fast paths against them on small seeded spaces.
 
 from fractions import Fraction
 
+from extprob import _linalg
 from extprob.field import ONE, ZERO, NonstdNumber
+from extprob.lps import EquivCertificate, _restrict, _split_witness, reduce_lps
 from extprob.npsbridge import nps_to_popper
 from extprob.popper import _treelike_findings
 from extprob.spaces import algebra_findings, subsets
@@ -162,3 +164,91 @@ def standard_layers(nu):
     else:
         raise AssertionError("residual failed to vanish within the atom bound")
     return layers, scales
+
+
+def _triangular_coeffs(src_rows, dst_rows):
+    """Lower-triangular rows expressing dst over src, or None."""
+    out = []
+    for i, target in enumerate(dst_rows):
+        coeffs = _linalg.solve_combination(src_rows[: i + 1], target)
+        if coeffs is None or coeffs[i] <= 0:
+            return None
+        padded = tuple(coeffs) + tuple(Fraction(0) for _ in range(len(dst_rows) - i - 1))
+        out.append(padded)
+    return tuple(out)
+
+
+def separating_vector(rows_a, rows_b, n):
+    """Atom vector z whose first nonzero level signs differ between the
+    two row families, or None when the lexicographic sign functions agree.
+
+    Enumerates the candidate decision levels (i, j); for each it solves, on
+    the subspace annihilated by the earlier rows of both families, for a
+    vector that is strictly positive at level i of one family and strictly
+    negative (or absent) at level j of the other.
+    """
+    ha, hb = len(rows_a), len(rows_b)
+    for i in range(ha + 1):
+        for j in range(hb + 1):
+            if i == ha and j == hb:
+                continue
+            constraints = list(rows_a[:i]) + list(rows_b[:j])
+            basis = _linalg.nullspace_basis(constraints, n)
+            if not basis:
+                continue
+            f = _restrict(rows_a[i], basis) if i < ha else None
+            g = _restrict(rows_b[j], basis) if j < hb else None
+            z = _pick_signed(f, g, basis, n)
+            if z is not None:
+                return z
+    return None
+
+
+def _pick_signed(f, g, basis, n):
+    """Coordinates in span(basis) with f > 0 and g < 0 (None = unconstrained)."""
+    def assemble(coords):
+        vec = [Fraction(0)] * n
+        for c, b in zip(coords, basis):
+            for a in range(n):
+                vec[a] += c * b[a]
+        return tuple(vec)
+
+    m = len(basis)
+    if f is not None and g is not None:
+        if all(x == 0 for x in f) or all(x == 0 for x in g):
+            return None
+        columns = [(f[j], g[j]) for j in range(m)]
+        coords = _linalg.solve_combination(columns, (Fraction(1), Fraction(-1)))
+        if coords is not None:
+            return assemble(coords)
+        # g proportional to f; separation only if the factor is negative.
+        k = next(i for i in range(m) if f[i] != 0)
+        lam = g[k] / f[k]
+        if lam >= 0:
+            return None
+        coords = _linalg.solve_combination([(x,) for x in f], (Fraction(1),))
+        return assemble(coords)
+    h, want = (f, Fraction(1)) if f is not None else (g, Fraction(-1))
+    if all(x == 0 for x in h):
+        return None
+    coords = _linalg.solve_combination([(x,) for x in h], (want,))
+    return assemble(coords)
+
+
+def equivalence_by_search(a, b):
+    """Equivalence certificate from the two-sided triangular test and, when
+    it fails, a search over every pair of levels (i, j) for a separating
+    vector on the null space of the rows above them."""
+    rows_a = [m.mass for m in reduce_lps(a).measures]
+    rows_b = [m.mass for m in reduce_lps(b).measures]
+    forward = backward = None
+    if len(rows_a) == len(rows_b):
+        forward = _triangular_coeffs(rows_a, rows_b)
+        backward = _triangular_coeffs(rows_b, rows_a) if forward else None
+    if forward and backward:
+        return EquivCertificate(
+            "equivalent", a, b, forward_matrix=forward, backward_matrix=backward
+        )
+    z = separating_vector(rows_a, rows_b, a.algebra.n_atoms)
+    assert z is not None, "triangular criterion failed but no separating variable exists"
+    return EquivCertificate("inequivalent", a, b, witness=_split_witness(a.algebra, z))

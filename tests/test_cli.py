@@ -11,7 +11,7 @@ from extprob.cli import main
 from extprob.field import EPS, ONE
 from extprob.lps import LPS
 from extprob.npsbridge import lps_to_nps, nps_to_popper
-from extprob.popper import SUBEVENT_LIMIT, PopperSpace
+from extprob.popper import PopperSpace
 from extprob.spaces import EVENT_LIMIT, NonstdMeasure, RandomVariable, SpaceAlgebra, StdMeasure
 
 F = Fraction
@@ -206,8 +206,6 @@ class TestWitnessCommand:
 class TestTreelikePaths:
     def test_validate_and_convert_treelike(self, tmp_path, capsys):
         abc = SpaceAlgebra.discrete(["a", "b", "c"])
-        from extprob.popper import SUBEVENT_LIMIT, PopperSpace
-
         space = PopperSpace.from_rows(
             abc,
             {
@@ -257,6 +255,21 @@ class TestIndepVariants:
     def test_missing_flags_usage_error(self, tmp_path):
         measure, x, _ = self.make_grid(tmp_path)
         assert main(["indep", "--measure", measure, "--variant", "weak", "--x", x]) == 2
+
+    def test_set_variant_over_limit(self, tmp_path, capsys):
+        """Independent coordinates of a uniform 12 x 5 grid, refused by
+        name: the check would take 2^12 * 4^5 = 2^22 event triples."""
+        grid = SpaceAlgebra.discrete([(i, j) for i in range(12) for j in range(5)])
+        measure = write(tmp_path, "nu.json", NonstdMeasure.from_values(grid, [F(1, 60)] * 60))
+        x = write(tmp_path, "x.json", RandomVariable.from_values(grid, [i for i, _ in grid.worlds]))
+        y = write(tmp_path, "y.json", RandomVariable.from_values(grid, [j for _, j in grid.worlds]))
+        start = time.perf_counter()
+        assert main(["indep", "--measure", measure, "--variant", "set", "--x", x, "--ys", y]) == 3
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"EVENT_LIMIT = {EVENT_LIMIT}" in captured.err
+        assert EVENT_LIMIT == 1048576
 
 
 class TestBelievePopper:
@@ -404,7 +417,7 @@ class TestSizeLimit:
         assert time.perf_counter() - start < 1.0
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert str(SUBEVENT_LIMIT) in captured.err
+        assert f"EVENT_LIMIT = {EVENT_LIMIT}" in captured.err
 
     def test_valid_nested_table_at_cps_level(self, tmp_path, capsys):
         rows = {

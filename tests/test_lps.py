@@ -7,8 +7,10 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from genspaces import triangular_variant
+from genspaces import aeq_pair, triangular_variant
+from oracles import equivalence_by_search
 
+from extprob import _linalg, jsonio
 from extprob._linalg import nullspace_basis, solve_combination
 from extprob.errors import AlgebraMismatchError, ZeroConditioningError
 from extprob.lps import EQ, GT, LT, LPS, equivalence, reduce_lps
@@ -236,6 +238,55 @@ class TestEquivalence:
             if not cert.equivalent:
                 x, y = cert.witness
                 assert a.compare_expectations(x, y) != b.compare_expectations(x, y)
+
+
+def first_failing_level(a, b):
+    """First level i at which level i of reduced b is not a combination of
+    levels 0 to i of reduced a with a positive last coefficient, or None."""
+    rows_a = [m.mass for m in reduce_lps(a).measures]
+    rows_b = [m.mass for m in reduce_lps(b).measures]
+    for i in range(max(len(rows_a), len(rows_b))):
+        if i >= min(len(rows_a), len(rows_b)):
+            return i
+        coeffs = solve_combination(rows_a[: i + 1], rows_b[i])
+        if coeffs is None or coeffs[i] <= 0:
+            return i
+    return None
+
+
+class TestAgainstSearchOracle:
+    def test_certificates_match_level_pair_search(self):
+        """The first-failing-level decision against the search over every
+        pair of levels, certificate for certificate, on 1 to 6 atoms and
+        1 to 5 levels."""
+        rng = random.Random(67)
+        verdicts = {"equivalent": 0, "inequivalent": 0}
+        late_failures = 0
+        for _ in range(1000):
+            a, b = aeq_pair(rng)
+            cert = equivalence(a, b)
+            assert jsonio.dumps(cert) == jsonio.dumps(equivalence_by_search(a, b))
+            verdicts[cert.verdict] += 1
+            level = first_failing_level(a, b)
+            assert (level is None) == cert.equivalent
+            late_failures += level is not None and level >= 1
+        assert min(verdicts.values()) >= 200
+        assert late_failures >= 50
+
+    def test_one_nullspace_basis_per_inequivalent_call(self, monkeypatch):
+        calls = []
+
+        def counted(rows, n):
+            calls.append(n)
+            return nullspace_basis(rows, n)
+
+        monkeypatch.setattr(_linalg, "nullspace_basis", counted)
+        a = lps(ABC, (1, 0, 0), (0, 1, 0), (0, 0, 1))
+        b = lps(ABC, (1, 0, 0), (0, 0, 1), (0, 1, 0))
+        assert not equivalence(a, b).equivalent
+        assert calls == [3]
+        assert equivalence(a, a).equivalent
+        assert calls == [3]
 
 
 def random_slps(rng, algebra):

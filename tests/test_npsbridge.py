@@ -232,7 +232,8 @@ class TestAgainstOracles:
 
 class TestVerifyAeqchar:
     def test_point_schedule_accepted(self):
-        assert verify_aeqchar(lps(AB, (F(1, 2), F(1, 2)), (1, 0)), (ONE - EPS, EPS))
+        for late in (EPS, EPS / (ONE + EPS)):
+            assert verify_aeqchar(lps(AB, (F(1, 2), F(1, 2)), (1, 0)), (ONE - late, late))
 
     def test_decomposition_schedule_accepted(self):
         assert verify_aeqchar(
@@ -240,9 +241,9 @@ class TestVerifyAeqchar:
         )
 
     def test_non_infinitesimal_ratio_rejected(self):
-        assert not verify_aeqchar(
-            lps(AB, (F(1, 2), F(1, 2)), (1, 0)), (F(1, 2), F(1, 2))
-        )
+        tilted = EPS / (ONE + EPS)
+        for schedule in ((F(1, 2), F(1, 2)), (EPS, ONE - EPS), (tilted, ONE - tilted)):
+            assert not verify_aeqchar(lps(AB, (F(1, 2), F(1, 2)), (1, 0)), schedule)
 
     def test_wrong_length_raises(self):
         with pytest.raises(LengthMismatchError):

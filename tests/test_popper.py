@@ -24,7 +24,7 @@ from extprob.popper import (
     treelike_to_lps,
     validate_popper,
 )
-from extprob.spaces import SpaceAlgebra, StdMeasure
+from extprob.spaces import NonstdMeasure, SpaceAlgebra, StdMeasure, validate_space
 
 F = Fraction
 
@@ -78,6 +78,13 @@ class TestValidate:
         assert validate_popper(space, "cps").findings == (
             "conditional given [0, 1]: mass 0.5 at atom 0 is neither int nor Fraction",
             "conditional given [0, 1]: mass 0.5 at atom 1 is neither int nor Fraction",
+        )
+
+    def test_float_nonstd_masses_are_findings(self):
+        nu = NonstdMeasure(AB, (0.5, 0.5))
+        assert validate_space(AB, [nu]).findings == (
+            "measures[0]: mass 0.5 at atom 0 is not a NonstdNumber",
+            "measures[0]: mass 0.5 at atom 1 is not a NonstdNumber",
         )
 
     def test_cp3_violation_reported(self):
