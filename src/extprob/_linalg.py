@@ -1,13 +1,26 @@
 """Small exact linear-algebra routines over the rationals.
 
-Vectors are tuples of Fractions; matrices are lists of row tuples.  Only the
-handful of operations the equivalence machinery needs: span membership with
-coefficients, and null-space bases.
+Vectors are tuples of Fractions (ints are accepted too); matrices are lists
+of row tuples.  Only the handful of operations the equivalence machinery
+needs: span membership with coefficients, and null-space bases.
+
+Elimination runs on integers: each row is scaled by the lcm of its
+denominators, rows are combined with integer multipliers and divided by
+the gcd of their entries, and the pivot rows are divided by their pivots
+only at the end.  The reduced row echelon form is unique, so the results
+are the same ``Fraction`` values a Gauss-Jordan over Fractions gives.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+
+
+def _primitive(row):
+    """``row`` divided by the gcd of its entries (unchanged when all zero)."""
+    g = math.gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
 
 def _reduce(mat, ncols):
@@ -15,8 +28,13 @@ def _reduce(mat, ncols):
 
     Columns are taken left to right, each pivoting on the first nonzero row
     at or below the current one.  Returns the pivot columns; pivot row i is
-    row i of the reduced matrix.
+    row i of the reduced matrix, as Fractions with a 1 in its pivot column.
+    The other rows are left as integer rows, zero in the first ``ncols``
+    columns.
     """
+    for i, row in enumerate(mat):
+        scale = math.lcm(*(x.denominator for x in row))
+        mat[i] = _primitive([x.numerator * (scale // x.denominator) for x in row])
     piv_cols = []
     for col in range(ncols):
         r = len(piv_cols)
@@ -26,13 +44,18 @@ def _reduce(mat, ncols):
         if piv is None:
             continue
         mat[r], mat[piv] = mat[piv], mat[r]
-        factor = mat[r][col]
-        mat[r] = [x / factor for x in mat[r]]
+        prow = mat[r]
+        p = prow[col]
         for i in range(len(mat)):
-            if i != r and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+            a = mat[i][col]
+            if i != r and a:
+                g = math.gcd(p, a)
+                pg, ag = p // g, a // g
+                mat[i] = _primitive([pg * x - ag * y for x, y in zip(mat[i], prow)])
         piv_cols.append(col)
+    for r, col in enumerate(piv_cols):
+        p = mat[r][col]
+        mat[r] = [Fraction(x, p) for x in mat[r]]
     return piv_cols
 
 

@@ -14,7 +14,14 @@ Canonical form, maintained by every operation:
 - the zero element is ``0/1``.
 
 Two numbers are equal iff their canonical representations are identical,
-so ``==`` and ``hash`` are structural.
+so ``==`` and ``hash`` are structural; a rational value hashes as its
+``Fraction``, since it equals one.
+
+A rational operand ``k`` (an ``int`` or ``Fraction``) keeps canonical form
+without a gcd: ``k*num`` and ``num + k*den`` are still coprime to ``den``,
+and ``den`` does not change.  Ordering is a sign read: canonical
+denominators are positive, so ``compare`` looks at the lowest-order
+coefficient of ``a.num*b.den - b.num*a.den`` and reduces no quotient.
 
 >>> half = NonstdNumber.from_fraction(Fraction(1, 2))
 >>> (half + EPS) + (half - EPS) == ONE
@@ -37,14 +44,22 @@ from .errors import UnlimitedError
 _TermTuple = tuple[tuple[int, Fraction], ...]
 
 
+def _accumulate(acc: dict, exp: int, coeff) -> None:
+    """Add ``coeff`` to ``acc[exp]``, keeping no zero coefficient."""
+    if exp in acc:
+        c = acc[exp] + coeff
+        if c:
+            acc[exp] = c
+        else:
+            del acc[exp]
+    elif coeff:
+        acc[exp] = coeff
+
+
 def _norm_terms(pairs) -> _TermTuple:
     combined: dict[int, Fraction] = {}
     for exp, coeff in pairs:
-        c = combined.get(exp, Fraction(0)) + coeff
-        if c == 0:
-            combined.pop(exp, None)
-        else:
-            combined[exp] = c
+        _accumulate(combined, exp, coeff)
     return tuple(sorted(combined.items()))
 
 
@@ -108,12 +123,7 @@ class EpsPolynomial:
         acc: dict[int, Fraction] = {}
         for e1, c1 in self.terms:
             for e2, c2 in other.terms:
-                e = e1 + e2
-                c = acc.get(e, Fraction(0)) + c1 * c2
-                if c == 0:
-                    acc.pop(e, None)
-                else:
-                    acc[e] = c
+                _accumulate(acc, e1 + e2, c1 * c2)
         return EpsPolynomial(tuple(sorted(acc.items())))
 
     def scale(self, k: Fraction) -> "EpsPolynomial":
@@ -169,15 +179,11 @@ def _poly_divmod(a: EpsPolynomial, b: EpsPolynomial):
             break
         factor = rem[r_deg] / b_lead
         shift = r_deg - b_deg
-        quo[shift] = quo.get(shift, Fraction(0)) + factor
+        _accumulate(quo, shift, factor)
+        factor = -factor
         for e, c in b.terms:
-            e2 = e + shift
-            nc = rem.get(e2, Fraction(0)) - factor * c
-            if nc == 0:
-                rem.pop(e2, None)
-            else:
-                rem[e2] = nc
-    q = EpsPolynomial(tuple(sorted((e, c) for e, c in quo.items() if c != 0)))
+            _accumulate(rem, e + shift, factor * c)
+    q = EpsPolynomial(tuple(sorted(quo.items())))
     r = EpsPolynomial(tuple(sorted(rem.items())))
     return q, r
 
@@ -250,7 +256,15 @@ class NonstdNumber:
     def is_zero(self) -> bool:
         return self.num.is_zero
 
+    def _plus_rational(self, k) -> "NonstdNumber":
+        """``self + k`` for an int or Fraction ``k``: ``(num + k*den)/den``,
+        canonical as it stands since gcd(num + k*den, den) = gcd(num, den)
+        (so a zero sum has ``den`` 1 and is ``ZERO``)."""
+        return NonstdNumber(self.num + self.den.scale(k), self.den)
+
     def __add__(self, other: NumberLike) -> "NonstdNumber":
+        if isinstance(other, (int, Fraction)):
+            return self._plus_rational(other)
         o = NonstdNumber.coerce(other)
         if self.den == o.den:
             return NonstdNumber._make(self.num + o.num, self.den)
@@ -261,15 +275,24 @@ class NonstdNumber:
     __radd__ = __add__
 
     def __sub__(self, other: NumberLike) -> "NonstdNumber":
+        if isinstance(other, (int, Fraction)):
+            return self._plus_rational(-other)
         return self + (-NonstdNumber.coerce(other))
 
     def __rsub__(self, other: NumberLike) -> "NonstdNumber":
+        if isinstance(other, (int, Fraction)):
+            return (-self)._plus_rational(other)
         return NonstdNumber.coerce(other) + (-self)
 
     def __neg__(self) -> "NonstdNumber":
         return NonstdNumber(-self.num, self.den)
 
     def __mul__(self, other: NumberLike) -> "NonstdNumber":
+        if isinstance(other, (int, Fraction)):
+            if not other:
+                return ZERO
+            # gcd(k*num, den) = gcd(num, den): still canonical.
+            return NonstdNumber(self.num.scale(other), self.den)
         o = NonstdNumber.coerce(other)
         return NonstdNumber._make(self.num * o.num, self.den * o.den)
 
@@ -299,8 +322,23 @@ class NonstdNumber:
         return 1 if self.num.trailing_coeff() > 0 else -1
 
     def compare(self, other: NumberLike) -> int:
-        """-1, 0, or 1 as self is below, equal to, or above other."""
-        return (self - other).sign()
+        """-1, 0, or 1 as self is below, equal to, or above other.
+
+        Canonical denominators are positive (lowest-order coefficient 1),
+        so the sign of ``self - other`` is the sign of its numerator over
+        the product of the denominators; no quotient is reduced.
+        """
+        if isinstance(other, (int, Fraction)):
+            diff = self._plus_rational(-other).num
+        else:
+            o = NonstdNumber.coerce(other)
+            if self.den == o.den:
+                diff = self.num - o.num
+            else:
+                diff = self.num * o.den - o.num * self.den
+        if not diff.terms:
+            return 0
+        return 1 if diff.terms[0][1] > 0 else -1
 
     def __lt__(self, other: NumberLike) -> bool:
         return self.compare(other) < 0
@@ -322,6 +360,9 @@ class NonstdNumber:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
+        # A rational value hashes as its Fraction, as ``__eq__`` demands.
+        if self.den == _P_ONE and self.num.degree() <= 0:
+            return hash(self.num.trailing_coeff())
         return hash((self.num.terms, self.den.terms))
 
     def __abs__(self) -> "NonstdNumber":

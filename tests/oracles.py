@@ -252,3 +252,64 @@ def equivalence_by_search(a, b):
     z = separating_vector(rows_a, rows_b, a.algebra.n_atoms)
     assert z is not None, "triangular criterion failed but no separating variable exists"
     return EquivCertificate("inequivalent", a, b, witness=_split_witness(a.algebra, z))
+
+
+def _reduce_over_fractions(mat, ncols):
+    """Gauss-Jordan on ``mat`` in place over its first ``ncols`` columns.
+
+    Columns are taken left to right, each pivoting on the first nonzero row
+    at or below the current one.  Returns the pivot columns; pivot row i is
+    row i of the reduced matrix.
+    """
+    piv_cols = []
+    for col in range(ncols):
+        r = len(piv_cols)
+        if r == len(mat):
+            break
+        piv = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        factor = mat[r][col]
+        mat[r] = [x / factor for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][col] != 0:
+                f = mat[i][col]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        piv_cols.append(col)
+    return piv_cols
+
+
+def _fractions(rows):
+    """Rows as lists of Fractions: dividing two int entries would give a
+    float, so the Gauss-Jordan above takes Fractions only."""
+    return [[Fraction(x) for x in row] for row in rows]
+
+
+def solve_combination_over_fractions(rows, target):
+    """``_linalg.solve_combination`` by Gauss-Jordan over Fractions."""
+    if not rows:
+        return [] if all(x == 0 for x in target) else None
+    m = len(rows)
+    aug = _fractions([[row[i] for row in rows] + [target[i]] for i in range(len(rows[0]))])
+    piv_cols = _reduce_over_fractions(aug, m)
+    if any(row[m] != 0 for row in aug[len(piv_cols):]):
+        return None
+    coeffs = [Fraction(0)] * m
+    for row, col in enumerate(piv_cols):
+        coeffs[col] = aug[row][m]
+    return coeffs
+
+
+def nullspace_basis_over_fractions(rows, n):
+    """``_linalg.nullspace_basis`` by Gauss-Jordan over Fractions."""
+    mat = _fractions(row for row in rows if any(x != 0 for x in row))
+    piv_cols = _reduce_over_fractions(mat, n)
+    basis = []
+    for fc in (c for c in range(n) if c not in piv_cols):
+        vec = [Fraction(0)] * n
+        vec[fc] = Fraction(1)
+        for row_idx, pc in enumerate(piv_cols):
+            vec[pc] = -mat[row_idx][fc]
+        basis.append(tuple(vec))
+    return basis

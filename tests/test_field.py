@@ -2,6 +2,7 @@
 
 import doctest
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -184,5 +185,75 @@ def test_eps_power_negative():
 
 
 def test_doctests():
-    failures, _ = doctest.testmod(extprob.field)
+    failures, attempted = doctest.testmod(extprob.field)
     assert failures == 0
+    assert attempted >= 4
+
+
+def test_rational_values_hash_as_their_fraction():
+    half = NonstdNumber.from_fraction(F(1, 2))
+    assert hash(ONE) == hash(1) == hash(F(1))
+    assert len({ONE, 1}) == 1 and len({ONE, F(1)}) == 1
+    assert hash(ZERO) == hash(0) and len({ZERO, 0, F(0)}) == 1
+    assert hash(-ONE) == hash(-1) and hash(half) == hash(F(1, 2))
+    assert len({half, F(1, 2), ONE, 1}) == 2
+    tilted = ONE / (ONE + EPS)
+    assert hash(EPS) == hash(nn((1, 1))) and len({EPS, nn((1, 1)), 1}) == 2
+    assert hash(tilted) == hash(ONE / nn((0, 1), (1, 1)))
+
+
+def seeded_numbers(rng, count):
+    """Polynomial numbers and rational-function numbers: polynomials
+    divided by one or two factors 1 + k*eps, k in 1..3."""
+    out = []
+    for _ in range(count):
+        exps = rng.sample(range(5), rng.randint(0, 3))
+        x = nn(*((e, F(rng.randint(-6, 6), rng.randint(1, 6))) for e in exps))
+        for _ in range(rng.randint(0, 2)):
+            x = x / nn((0, 1), (1, rng.randint(1, 3)))
+        out.append(x)
+    return out
+
+
+def seeded_rationals(rng, count):
+    fixed = [0, F(0), 1, -1, 3, F(1, 2), F(-7, 3), F(10**6 + 1, 999)]
+    drawn = [
+        rng.choice((rng.randint(-9, 9), F(rng.randint(-9, 9), rng.randint(1, 9))))
+        for _ in range(count)
+    ]
+    return fixed + drawn
+
+
+def structure(x):
+    assert all(type(c) is F for _, c in x.num.terms + x.den.terms)
+    return x.num.terms, x.den.terms
+
+
+def test_rational_operand_paths_match_general_path():
+    rng = random.Random(5)
+    numbers_ = seeded_numbers(rng, 60)
+    assert sum(x.den != ONE.den for x in numbers_) >= 20
+    for x in numbers_:
+        for k in seeded_rationals(rng, 6):
+            q = NonstdNumber.coerce(k)
+            assert structure(x * k) == structure(x * q)
+            assert structure(k * x) == structure(q * x)
+            assert structure(x + k) == structure(x + q)
+            assert structure(k + x) == structure(q + x)
+            assert structure(x - k) == structure(x - q)
+            assert structure(k - x) == structure(q - x)
+            assert x.compare(k) == (x - q).sign()
+        assert x * 0 == ZERO and 0 * x == ZERO and x * F(0) == ZERO
+    for k in (F(1, 2), -3):
+        q = NonstdNumber.coerce(k)
+        for cancelled in (q - k, k - q, q + (-k), -k + q):
+            assert structure(cancelled) == structure(ZERO)
+
+
+def test_compare_is_sign_of_difference():
+    rng = random.Random(6)
+    values = seeded_numbers(rng, 40) + SMALL_VALUES
+    for a in values:
+        for b in values:
+            assert a.compare(b) == (a - b).sign()
+            assert (a < b) == ((a - b).sign() < 0)
