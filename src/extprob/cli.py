@@ -37,7 +37,7 @@ Documents (all carry "format_version": 1 and "type"):
 from __future__ import annotations
 
 import argparse
-import json
+import functools
 import sys
 
 from . import jsonio
@@ -245,9 +245,8 @@ def cmd_indep(args):
 
 def _load_witness(path, kind):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        doc = jsonio.read_json(path)
+    except (jsonio.ParseError, OSError) as exc:
         raise _BadInput(f"{path}: {exc}") from None
     if not isinstance(doc, dict) or doc.get("type") != "witness":
         raise _BadInput(f"{path}: expected a witness document")
@@ -321,7 +320,11 @@ def cmd_fixtures(args):
     return _emit(lines)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later one.  Sharing is safe: nothing changes the parser once it is built,
+    and each parse fills a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="extprob",
         description="Exact conversions and checks for extended probability "
@@ -393,7 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     fp = fsub.add_parser("run")
     fp.add_argument("name")
     fp.set_defaults(func=cmd_fixtures, action="run")
-    p.set_defaults()
 
     return parser
 

@@ -28,7 +28,7 @@ FORMAT_VERSION = 1
 RATIONAL_MAX_DIGITS = 4300
 
 _DIGITS = rf"[0-9]{{1,{RATIONAL_MAX_DIGITS}}}"
-_RATIONAL = re.compile(rf"-?{_DIGITS}(?:/{_DIGITS})?")
+_RATIONAL = re.compile(rf"(-?{_DIGITS})(?:/({_DIGITS}))?")
 
 
 class ParseError(ValueError):
@@ -42,14 +42,18 @@ def encode_rational(q: Fraction) -> str:
 def parse_rational(text) -> Fraction:
     """Parse ``-?digits`` or ``-?digits/digits``, each part at most
     RATIONAL_MAX_DIGITS digits long."""
-    if not _RATIONAL.fullmatch(str(text)):
+    match = _RATIONAL.fullmatch(str(text))
+    if match is None:
         raise ParseError(
             f"bad rational {text!r}: expected an integer or a/b with at most "
             f"{RATIONAL_MAX_DIGITS} digits in each part"
         )
+    num, den = match.groups()
+    if den is None:
+        return Fraction(int(num))
     try:
-        return Fraction(str(text))
-    except (ValueError, ZeroDivisionError) as exc:
+        return Fraction(int(num), int(den))
+    except ZeroDivisionError as exc:
         raise ParseError(f"bad rational {text!r}: {exc}") from None
 
 
@@ -319,10 +323,18 @@ def dumps(obj) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def load_path(path):
+def read_json(path):
+    """The JSON value in the file at ``path``.
+
+    Bytes that are not UTF-8, malformed JSON, an integer literal longer than
+    the interpreter converts and nesting deeper than the decoder recurses
+    all raise ParseError; a path that cannot be read raises OSError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: {exc}") from None
-    return parse_document(doc)
+            return json.load(fh)
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(str(exc)) from None
+
+
+def load_path(path):
+    return parse_document(read_json(path))

@@ -4,9 +4,11 @@ They are slow and written for clarity; the tests compare the library's
 fast paths against them on small seeded spaces.
 """
 
+import re
 from fractions import Fraction
 
 from extprob import _linalg
+from extprob.jsonio import RATIONAL_MAX_DIGITS, ParseError
 from extprob.field import ONE, ZERO, NonstdNumber
 from extprob.lps import EquivCertificate, _restrict, _split_witness, reduce_lps
 from extprob.npsbridge import nps_to_popper
@@ -313,3 +315,20 @@ def nullspace_basis_over_fractions(rows, n):
             vec[pc] = -mat[row_idx][fc]
         basis.append(tuple(vec))
     return basis
+
+
+_RATIONAL_TEXT = re.compile(rf"-?[0-9]{{1,{RATIONAL_MAX_DIGITS}}}(?:/[0-9]{{1,{RATIONAL_MAX_DIGITS}}})?")
+
+
+def parse_rational_by_str(text):
+    """``jsonio.parse_rational`` read in two passes: the grammar matched,
+    then the whole text parsed again by ``Fraction(str)``."""
+    if not _RATIONAL_TEXT.fullmatch(str(text)):
+        raise ParseError(
+            f"bad rational {text!r}: expected an integer or a/b with at most "
+            f"{RATIONAL_MAX_DIGITS} digits in each part"
+        )
+    try:
+        return Fraction(str(text))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"bad rational {text!r}: {exc}") from None

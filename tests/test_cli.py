@@ -1,12 +1,13 @@
 """Command-line behavior: exit codes, determinism, and report content."""
 
+import argparse
 import json
 import time
 from fractions import Fraction
 
 import pytest
 
-from extprob import jsonio
+from extprob import cli, jsonio
 from extprob.cli import main
 from extprob.field import EPS, ONE
 from extprob.lps import LPS
@@ -402,6 +403,39 @@ class TestMalformedInput:
         )
         assert "bad rational" in err
 
+    @staticmethod
+    def unreadable_file(tmp_path, kind):
+        """A path whose JSON cannot be read: bytes that are not UTF-8,
+        nesting far past the decoder's recursion limit, an integer literal
+        longer than the interpreter converts, or a directory."""
+        path = tmp_path / kind
+        if kind == "undecodable":
+            path.write_bytes(b"\xff\xfe\x00bad")
+        elif kind == "deep":
+            path.write_text("[" * 200000 + "]" * 200000)
+        elif kind == "long-integer":
+            path.write_text("1" * 5000)
+        else:
+            path.mkdir()
+        return str(path)
+
+    @pytest.mark.parametrize("kind", ["undecodable", "deep", "long-integer", "directory"])
+    def test_unreadable_document(self, tmp_path, capsys, kind):
+        path = self.unreadable_file(tmp_path, kind)
+        assert self.run_bad(["validate", "--in", path], capsys).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("kind", ["undecodable", "deep", "long-integer", "directory"])
+    def test_unreadable_witness(self, tmp_path, capsys, kind):
+        target = write(tmp_path, "lps.json", LPS.from_rows(AB, [(1, 0), (0, 1)]))
+        x = write(tmp_path, "x.json", RandomVariable.from_values(AB, [0, 1]))
+        witness = self.unreadable_file(tmp_path, kind)
+        err = self.run_bad(
+            ["verify-witness", "--kind", "bbd-r", "--target", target,
+             "--xs", x, "--witness", witness],
+            capsys,
+        )
+        assert err.startswith(f"{witness}: ")
+
 
 class TestSizeLimit:
     """A 26-atom table is answered at once or refused by name, never by
@@ -485,3 +519,89 @@ class TestFixtures:
     def test_unknown_fixture(self, capsys):
         assert main(["fixtures", "run", "nope"]) == 3
         capsys.readouterr()
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process, and a shared parser
+    answers every argv as a freshly built one does."""
+
+    SUBCOMMANDS = (
+        ["validate"], ["convert"], ["compare"], ["expect"], ["indep"],
+        ["verify-witness"], ["believe"], ["reduce"], ["fixtures"],
+        ["fixtures", "list"], ["fixtures", "run"],
+    )
+
+    def test_one_parser_tree_per_process(self, monkeypatch, capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(parser, *args, **kwargs):
+            built.append(parser)
+            init(parser, *args, **kwargs)
+
+        cli.build_parser.cache_clear()
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        for _ in range(3):
+            assert main(["fixtures", "list"]) == 0
+            assert main(["fixtures", "run", "nope"]) == 3
+            with pytest.raises(SystemExit):
+                main(["validate"])
+        one_tree = len(built)
+        assert one_tree > 1
+        cli.build_parser.__wrapped__()
+        assert len(built) == 2 * one_tree
+        assert cli.build_parser() is cli.build_parser()
+        capsys.readouterr()
+
+    def argv_sequence(self, tmp_path):
+        lps = write(tmp_path, "lps.json", LPS.from_rows(AB, [(F(1, 2), F(1, 2)), (1, 0)]))
+        measure = write(tmp_path, "nu.json", NonstdMeasure.from_values(AB, [ONE - EPS, EPS]))
+        return [
+            ["--help"],
+            *[[*sub, "--help"] for sub in self.SUBCOMMANDS],
+            ["mystery"],
+            [],
+            ["validate"],
+            ["convert", "--from", "lps", "--to", "nps"],
+            ["indep", "--measure", measure, "--u", "0"],
+            ["indep", "--measure", measure, "--variant", "weak"],
+            ["validate", "--in", lps],
+            ["convert", "--from", "lps", "--to", "nps", "--in", lps],
+            ["indep", "--measure", measure, "--u", "0", "--v", "1"],
+            ["believe", "--model", lps, "--kind", "weak", "--event", "0"],
+            ["reduce", "--in", lps],
+            ["fixtures", "list"],
+            ["fixtures", "run", "mcgee"],
+            ["fixtures", "run", "nope"],
+        ]
+
+    @staticmethod
+    def run(argv, capsys):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_shared_parser_answers_as_a_fresh_one(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        sequence = self.argv_sequence(tmp_path)
+        cli.build_parser.cache_clear()
+        first = [self.run(argv, capsys) for argv in sequence]
+        second = [self.run(argv, capsys) for argv in sequence]
+        fresh = []
+        for argv in sequence:
+            cli.build_parser.cache_clear()
+            fresh.append(self.run(argv, capsys))
+        assert second == first
+        assert fresh == first
+        codes = [code for code, _, _ in first]
+        assert codes.count(("exit", 0)) == 1 + len(self.SUBCOMMANDS)
+        assert codes.count(("exit", 2)) == 4
+        assert 2 in codes and 1 in codes and 3 in codes and 0 in codes
+        for code, out, err in first:
+            if code == ("exit", 0):
+                assert out.startswith("usage: extprob") and err == ""
+            if code == ("exit", 2):
+                assert err.startswith("usage: extprob") and out == ""

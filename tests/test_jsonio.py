@@ -1,5 +1,6 @@
 """Round-trip fidelity and strictness of the JSON encodings."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,8 @@ from extprob.lps import LPS, equivalence
 from extprob.npsbridge import nps_to_lps
 from extprob.popper import slps_to_popper
 from extprob.spaces import NonstdMeasure, RandomVariable, SpaceAlgebra, StdMeasure
+
+from oracles import parse_rational_by_str
 
 F = Fraction
 
@@ -101,6 +104,46 @@ class TestStrictness:
         assert jsonio.parse_rational("12") == 12
         big = "9" * jsonio.RATIONAL_MAX_DIGITS
         assert jsonio.parse_rational(f"{big}/{big}") == 1
+
+    def test_parse_rational_matches_fraction_of_str(self):
+        """Seeded inputs near the grammar give the value ``Fraction(str)``
+        gives, or the same ParseError text as the two-pass parse."""
+        top = jsonio.RATIONAL_MAX_DIGITS
+        rng = random.Random(83)
+
+        def digits():
+            n = rng.choice((1, 1, 2, 3, 5, 9, 20, top, top + 1))
+            if rng.random() < 0.1:
+                return "0" * min(n, 4)
+            lead = "0" * rng.choice((0, 0, 0, 1, 3))
+            return (lead + "".join(rng.choice("0123456789") for _ in range(n)))[:top + 1]
+
+        texts = ["-0", "0/0", "-0/0", "00", "-00/007", "007/0010", "1/0", "-1/0", "0/5",
+                 "9" * top, "-" + "0" * top, f"{'0' * (top - 1)}1/{'9' * top}",
+                 0, -7, 10 ** 50, True, None, 0.5]
+        for _ in range(2000):
+            text = rng.choice(("", "", "", "-", "+", " ")) + digits()
+            if rng.random() < 0.6:
+                text += "/" + rng.choice(("", "", "", "-", "+")) + digits()
+            if rng.random() < 0.1:
+                at = rng.randrange(len(text) + 1)
+                text = text[:at] + rng.choice("/-+ ._e0") + text[at:]
+            texts.append(text)
+        accepted = rejected = zero_den = 0
+        for text in texts:
+            try:
+                want = parse_rational_by_str(text)
+            except jsonio.ParseError as exc:
+                with pytest.raises(jsonio.ParseError) as got:
+                    jsonio.parse_rational(text)
+                assert str(got.value) == str(exc), text
+                rejected += 1
+                zero_den += "Fraction(" in str(exc)
+                continue
+            got = jsonio.parse_rational(text)
+            assert type(got) is Fraction and got == want, text
+            accepted += 1
+        assert accepted >= 600 and rejected >= 600 and zero_den >= 20, (accepted, rejected, zero_den)
 
     def test_rejects_wrong_mass_count(self):
         doc = jsonio.encode(StdMeasure.from_values(AB, [F(1, 2), F(1, 2)]))
