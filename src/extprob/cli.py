@@ -111,8 +111,11 @@ def _emit(lines, out_doc=None, out_path=None):
     if out_doc is not None:
         rendered = jsonio.dumps(out_doc)
         if out_path:
-            with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(rendered)
+            try:
+                with open(out_path, "w", encoding="utf-8") as fh:
+                    fh.write(rendered)
+            except OSError as exc:
+                raise _BadInput(f"{out_path}: {exc.strerror or exc}") from None
             text += ("\n" if text else "") + f"wrote {out_path}"
         else:
             text += ("\n" if text else "") + rendered.rstrip("\n")

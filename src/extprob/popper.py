@@ -30,6 +30,15 @@ and order of the exhaustive check:
   induction on |u - x| through y = x | {a}: mu(v|u) = mu(v|y) * mu(y|u)
   = mu(v|x) * mu(x|y) * mu(y|u) = mu(v|x) * mu(x|u).
 
+The shortcuts and the forward map run on integer rows: each row is
+scaled once to integers over the least common denominator of its masses.
+A row passes its invariants and CP1 when its integers are nonnegative and
+sum to the denominator both over the space and over its event; the chain
+rule compares integer products; the forward map divides an atom's integer
+by the event's integer sum.  ``Fraction`` arithmetic is used only to word
+the findings of a row that failed.  When some mass is not a rational,
+every row is checked on its masses, and the findings name each such mass.
+
 The module also carries the three constructions between these spaces and
 lexicographic systems: the forward map from structured systems, its exact
 inverse on finite spaces, and the forest construction for treelike
@@ -124,9 +133,17 @@ def forest_shape(space: PopperSpace) -> dict:
     return parents
 
 
-def _cp_findings(space: PopperSpace):
+def _cp_findings(space: PopperSpace, rows):
+    """Empty-event, missing-row, row-invariant and CP1 findings.
+
+    With ``rows`` from :func:`_integer_rows`, a row is accepted on its
+    integers: n of them, summing to the denominator over the space and
+    over u, none negative.  Any other row, and every row when ``rows`` is
+    None, is checked on its masses to word the findings.
+    """
     out = []
     fam = space.conditioning_events
+    n = space.algebra.n_atoms
     if frozenset() in fam:
         out.append("conditioning family contains the empty event")
     for u in fam:
@@ -134,6 +151,15 @@ def _cp_findings(space: PopperSpace):
         if row is None:
             out.append(f"no conditional stored for {sorted(u)}")
             continue
+        if rows is not None:
+            masses, den = rows[u]
+            if (
+                len(masses) == n
+                and sum(masses) == den
+                and min(masses) >= 0
+                and sum(masses[a] for a in u) == den
+            ):
+                continue
         out.extend(row.invariant_findings(where=f"conditional given {sorted(u)}"))
         if row.event_mass(u) != 1:
             out.append(
@@ -142,17 +168,22 @@ def _cp_findings(space: PopperSpace):
     return out
 
 
+def _scaled(mass):
+    """``(integers, den)`` with ``integers[a] / den == mass[a]`` over the
+    least common denominator, or None when a mass has no denominator (it
+    is not a rational)."""
+    try:
+        den = lcm(*(m.denominator for m in mass))
+    except AttributeError:
+        return None
+    return [m.numerator * (den // m.denominator) for m in mass], den
+
+
 def _integer_rows(space: PopperSpace):
-    """Each stored row as integer masses over one common denominator, or
-    None when a mass has no denominator (it is not a rational)."""
-    out = {}
-    for u, row in space.table.items():
-        try:
-            den = lcm(*(m.denominator for m in row.mass))
-        except AttributeError:
-            return None
-        out[u] = ([m.numerator * (den // m.denominator) for m in row.mass], den)
-    return out
+    """Each stored row scaled by :func:`_scaled`, or None when a mass is
+    not a rational."""
+    out = {u: _scaled(row.mass) for u, row in space.table.items()}
+    return None if None in out.values() else out
 
 
 def _chain_rule_on_atoms(rows: dict, x: Event, u: Event) -> bool:
@@ -258,8 +289,8 @@ def validate_popper(space: PopperSpace, level: str = "popper") -> ValidationRepo
     findings = algebra_findings(space.algebra)
     if findings:
         return ValidationReport(tuple(findings))
-    findings = _cp_findings(space)
     rows = _integer_rows(space)
+    findings = _cp_findings(space, rows)
     if rows is None:
         # CP3 and closure run on exact integers; the CP findings above name
         # each mass that is not a rational.
@@ -290,11 +321,24 @@ def slps_to_popper(slps: LPS) -> PopperSpace:
     """
     if not classify_lps(slps).is_slps:
         raise NotAnSlpsError("input system is not structured")
+    n = slps.algebra.n_atoms
+    levels = [(m, _scaled(m.mass)) for m in slps.measures]
+    zero = Fraction(0)
     table = {}
     for ev in slps.algebra.events():
-        for m in slps.measures:
-            if m.event_mass(ev) > 0:
-                table[ev] = m.condition(ev)
+        for m, scaled in levels:
+            if scaled is None:
+                if m.event_mass(ev) > 0:
+                    table[ev] = m.condition(ev)
+                    break
+                continue
+            masses = scaled[0]
+            total = sum(masses[a] for a in ev)
+            if total > 0:
+                # mass[a] / mass(ev) is masses[a] / total: the denominators cancel.
+                table[ev] = StdMeasure(slps.algebra, tuple(
+                    Fraction(masses[a], total) if a in ev else zero for a in range(n)
+                ))
                 break
     return PopperSpace(slps.algebra, tuple(table), table)
 

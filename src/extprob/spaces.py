@@ -167,7 +167,9 @@ class StdMeasure(_MeasureBase):
 
     @classmethod
     def from_values(cls, algebra: SpaceAlgebra, values) -> "StdMeasure":
-        return cls(algebra, tuple(Fraction(v) for v in values))
+        return cls(
+            algebra, tuple(v if type(v) is Fraction else Fraction(v) for v in values)
+        )
 
     @classmethod
     def uniform(cls, algebra: SpaceAlgebra) -> "StdMeasure":

@@ -12,7 +12,7 @@ from extprob.jsonio import RATIONAL_MAX_DIGITS, ParseError
 from extprob.field import ONE, ZERO, NonstdNumber
 from extprob.lps import EquivCertificate, _restrict, _split_witness, reduce_lps
 from extprob.npsbridge import nps_to_popper
-from extprob.popper import _treelike_findings
+from extprob.popper import PopperSpace, _treelike_findings
 from extprob.spaces import algebra_findings, subsets
 
 
@@ -137,6 +137,18 @@ def popper_findings(space, level):
     elif level == "treelike":
         findings += _treelike_findings(space)
     return findings
+
+
+def slps_to_popper_by_condition(slps):
+    """The forward map in the measures' own arithmetic: every event is
+    conditioned on by the first level whose event mass is positive."""
+    table = {}
+    for ev in slps.algebra.events():
+        for m in slps.measures:
+            if m.event_mass(ev) > 0:
+                table[ev] = m.condition(ev)
+                break
+    return PopperSpace(slps.algebra, tuple(table), table)
 
 
 def simeq_by_images(a, b):

@@ -436,6 +436,17 @@ class TestMalformedInput:
         )
         assert err.startswith(f"{witness}: ")
 
+    @pytest.mark.parametrize("kind", ["missing-directory", "directory"])
+    def test_unwritable_out(self, tmp_path, capsys, kind):
+        path = write(tmp_path, "lps.json", LPS.from_rows(AB, [(1, 0), (0, 1)]))
+        if kind == "directory":
+            out, reason = str(tmp_path), "Is a directory"
+            argv = ["convert", "--from", "lps", "--to", "popper", "--in", path]
+        else:
+            out, reason = str(tmp_path / "missing" / "x.json"), "No such file or directory"
+            argv = ["reduce", "--in", path]
+        assert self.run_bad(argv + ["--out", out], capsys) == f"{out}: {reason}\n"
+
 
 class TestSizeLimit:
     """A 26-atom table is answered at once or refused by name, never by

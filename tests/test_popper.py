@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from genspaces import algebra_of, random_row, random_treelike_space
 from genspaces import random_slps as draw_slps
-from oracles import popper_findings, treelike_levels
+from oracles import popper_findings, slps_to_popper_by_condition, treelike_levels
 
 from extprob.errors import (
     InvalidPopperSpaceError,
@@ -144,6 +144,28 @@ class TestValidate:
         assert finding in findings
         assert findings == popper_findings(space, "popper")
 
+    @pytest.mark.parametrize(
+        "algebra, rows",
+        [
+            # Negative mass; the row sums to 1 on the space and on u.
+            (AB, {(0, 1): (F(3, 2), F(-1, 2))}),
+            # Sum 3/2 with mass outside u; u itself has mass 1.
+            (AB, {(0,): (1, F(1, 2))}),
+            # Sums to 1, but half of it lies outside u (CP1).
+            (AB, {(0,): (F(1, 2), F(1, 2)), (0, 1): (F(1, 2), F(1, 2))}),
+            # Three masses for two atoms, summing to 1 on u.
+            (AB, {(0, 1): (F(1, 2), F(1, 2), 0)}),
+            # Int masses, valid and summing to 2.
+            (AB, {(0,): (1, 0), (1,): (0, 1), (0, 1): (1, 0)}),
+            (AB, {(0, 1): (1, 1)}),
+        ],
+        ids=["negative", "sum", "cp1", "length", "int", "int-sum"],
+    )
+    def test_row_guards_match_oracle(self, algebra, rows):
+        space = table_space(algebra, {frozenset(u): m for u, m in rows.items()})
+        for level in ("cps", "popper", "treelike"):
+            assert list(validate_popper(space, level).findings) == popper_findings(space, level)
+
     def test_nonnested_overlap_not_treelike(self):
         space = PopperSpace.from_rows(
             ABC,
@@ -232,16 +254,7 @@ class TestSlpsToPopper:
         bc = ABC.event({1, 2})
         assert space.conditional(ABC.event({2}), bc) == 0
         assert space.conditional(ABC.event({2}), ABC.event({2})) == 1
-        # Oracle: recompute the least positive level for every event directly.
-        for ev in ABC.events():
-            levels = [
-                i for i, m in enumerate(system.measures) if m.event_mass(ev) > 0
-            ]
-            if not levels:
-                assert ev not in space.family()
-                continue
-            expected = system.measures[levels[0]].condition(ev)
-            assert space.table[ev] == expected
+        assert space == slps_to_popper_by_condition(system)
 
     def test_single_measure_full_support(self):
         space = slps_to_popper(lps(AB, (F(1, 2), F(1, 2))))
@@ -255,6 +268,33 @@ class TestSlpsToPopper:
     def test_rejects_unstructured_input(self):
         with pytest.raises(NotAnSlpsError):
             slps_to_popper(lps(AB, (F(1, 2), F(1, 2)), (1, 0)))
+
+    def test_matches_conditioning_oracle(self):
+        rng = random.Random(53)
+        multi_level = 0
+        for _ in range(1000):
+            system = draw_slps(rng, algebra_of(rng.randint(1, 7)))
+            got, want = slps_to_popper(system), slps_to_popper_by_condition(system)
+            assert got == want
+            assert list(got.table) == list(want.table)
+            assert all(type(m) is Fraction for row in got.table.values() for m in row.mass)
+            multi_level += len(system) > 1
+        assert multi_level >= 300
+
+    def test_float_level_keeps_its_arithmetic(self):
+        # A level without denominators is conditioned in its own arithmetic;
+        # the rational level after it is not.
+        system = LPS(W4, (
+            StdMeasure(W4, (0.25, 0.75, 0.0, 0.0)),
+            StdMeasure(W4, (F(0), F(0), F(1, 3), F(2, 3))),
+        ))
+        got, want = slps_to_popper(system), slps_to_popper_by_condition(system)
+        assert got == want
+        assert [[type(m) for m in row.mass] for row in got.table.values()] == [
+            [type(m) for m in row.mass] for row in want.table.values()
+        ]
+        assert got.table[W4.full_event()].mass == (0.25, 0.75, 0.0, 0.0)
+        assert got.table[W4.event({2, 3})].mass == (0, 0, F(1, 3), F(2, 3))
 
     def test_refuses_more_events_than_the_limit(self):
         with pytest.raises(SizeLimitError, match="EVENT_LIMIT = 1048576"):
