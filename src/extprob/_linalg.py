@@ -2,7 +2,9 @@
 
 Vectors are tuples of Fractions (ints are accepted too); matrices are lists
 of row tuples.  Only the handful of operations the equivalence machinery
-needs: span membership with coefficients, and null-space bases.
+needs: span membership with coefficients (for many targets in one
+elimination), the columns independent of those before them, and
+null-space bases.
 
 Elimination runs on integers: each row is scaled by the lcm of its
 denominators, rows are combined with integer multipliers and divided by
@@ -17,24 +19,32 @@ import math
 from fractions import Fraction
 
 
+def scaled_row(row):
+    """``(ints, den)`` with ``ints[i] / den == row[i]`` over the least
+    common denominator of the rationals ``row``."""
+    den = math.lcm(*(x.denominator for x in row))
+    return [x.numerator * (den // x.denominator) for x in row], den
+
+
 def _primitive(row):
     """``row`` divided by the gcd of its entries (unchanged when all zero)."""
     g = math.gcd(*row)
     return [x // g for x in row] if g > 1 else row
 
 
-def _reduce(mat, ncols):
-    """Gauss-Jordan on ``mat`` in place over its first ``ncols`` columns.
+def _eliminate(mat, ncols):
+    """Integer Gauss-Jordan on the rational rows ``mat`` in place over
+    their first ``ncols`` columns.
 
-    Columns are taken left to right, each pivoting on the first nonzero row
-    at or below the current one.  Returns the pivot columns; pivot row i is
-    row i of the reduced matrix, as Fractions with a 1 in its pivot column.
-    The other rows are left as integer rows, zero in the first ``ncols``
+    Each row is first scaled to primitive integers.  Columns are taken
+    left to right, each pivoting on the first nonzero row at or below the
+    current one.  Returns the pivot columns; every row is left as a
+    primitive integer row, row i a multiple of row i of the reduced
+    matrix, and the rows below the pivots zero in the first ``ncols``
     columns.
     """
     for i, row in enumerate(mat):
-        scale = math.lcm(*(x.denominator for x in row))
-        mat[i] = _primitive([x.numerator * (scale // x.denominator) for x in row])
+        mat[i] = _primitive(scaled_row(row)[0])
     piv_cols = []
     for col in range(ncols):
         r = len(piv_cols)
@@ -53,30 +63,60 @@ def _reduce(mat, ncols):
                 pg, ag = p // g, a // g
                 mat[i] = _primitive([pg * x - ag * y for x, y in zip(mat[i], prow)])
         piv_cols.append(col)
+    return piv_cols
+
+
+def _reduce(mat, ncols):
+    """Gauss-Jordan on ``mat`` in place over its first ``ncols`` columns.
+
+    As :func:`_eliminate`, with pivot row i then divided by its pivot: row
+    i of the reduced matrix, as Fractions with a 1 in its pivot column.
+    The other rows are left as integer rows, zero in the first ``ncols``
+    columns.
+    """
+    piv_cols = _eliminate(mat, ncols)
     for r, col in enumerate(piv_cols):
         p = mat[r][col]
         mat[r] = [Fraction(x, p) for x in mat[r]]
     return piv_cols
 
 
-def solve_combination(rows, target):
-    """Coefficients c with sum(c[i] * rows[i]) == target, or None.
+def independent_columns(mat, ncols):
+    """The columns among the first ``ncols`` of the rows ``mat`` that are
+    not in the span of the columns before them: the pivot columns."""
+    return _eliminate(list(mat), ncols)
+
+
+def solve_combinations(rows, targets):
+    """For each target, coefficients c with sum(c[i] * rows[i]) == target,
+    or None; one elimination serves every target.
 
     ``rows`` may be linearly dependent; any exact solution is returned, with
-    the free coefficients at zero.
+    the free coefficients at zero.  The reduced row echelon form is unique,
+    so each target gets the coefficients it would get alone.
     """
     if not rows:
-        return [] if all(x == 0 for x in target) else None
+        return [[] if all(x == 0 for x in t) else None for t in targets]
     m = len(rows)
-    # Augmented system A^T c = target, A^T is n x m.
-    aug = [[row[i] for row in rows] + [target[i]] for i in range(len(rows[0]))]
+    # Augmented system A^T C = T, A^T is n x m.
+    aug = [[row[i] for row in rows] + [t[i] for t in targets] for i in range(len(rows[0]))]
     piv_cols = _reduce(aug, m)
-    if any(row[m] != 0 for row in aug[len(piv_cols):]):
-        return None
-    coeffs = [Fraction(0)] * m
-    for row, col in enumerate(piv_cols):
-        coeffs[col] = aug[row][m]
-    return coeffs
+    rank = len(piv_cols)
+    out = []
+    for k in range(m, m + len(targets)):
+        if any(row[k] != 0 for row in aug[rank:]):
+            out.append(None)
+            continue
+        coeffs = [Fraction(0)] * m
+        for row, col in enumerate(piv_cols):
+            coeffs[col] = aug[row][k]
+        out.append(coeffs)
+    return out
+
+
+def solve_combination(rows, target):
+    """Coefficients c with sum(c[i] * rows[i]) == target, or None."""
+    return solve_combinations(rows, [target])[0]
 
 
 def nullspace_basis(rows, n):

@@ -7,7 +7,15 @@ lowest-order term (after reduction) is positive, which is the germ ordering
 at ``eps -> 0+``.  Every element has an exact inverse, so no series
 truncation or precision policy is ever needed.
 
-Canonical form, maintained by every operation:
+A polynomial holds its rational coefficients as integer numerators over
+one positive denominator that shares no factor with all of them, so ``+``,
+``*`` and ``scale`` run on ints and normalise with ``math.gcd``;
+``terms`` reads the coefficients back as ``Fraction`` values.  The gcd of
+two polynomials is a primitive remainder sequence over the integers
+(Collins 1967; Brown 1971): each pseudo-remainder is divided by the gcd of
+its coefficients, so no rational number is built.
+
+Canonical form of a number, maintained by every operation:
 
 - ``gcd(num, den) = 1`` as polynomials over the rationals,
 - the lowest-order coefficient of ``den`` is ``1``,
@@ -18,10 +26,11 @@ so ``==`` and ``hash`` are structural; a rational value hashes as its
 ``Fraction``, since it equals one.
 
 A rational operand ``k`` (an ``int`` or ``Fraction``) keeps canonical form
-without a gcd: ``k*num`` and ``num + k*den`` are still coprime to ``den``,
+without a polynomial gcd: ``k*num`` and ``num + k*den`` are still coprime to ``den``,
 and ``den`` does not change.  Ordering is a sign read: canonical
-denominators are positive, so ``compare`` looks at the lowest-order
-coefficient of ``a.num*b.den - b.num*a.den`` and reduces no quotient.
+denominators are positive, so ``compare`` walks ``a.num*b.den`` and
+``b.num*a.den`` up to their first differing coefficient and reduces no
+quotient.
 
 >>> half = NonstdNumber.from_fraction(Fraction(1, 2))
 >>> (half + EPS) + (half - EPS) == ONE
@@ -42,6 +51,7 @@ from typing import Union
 from .errors import UnlimitedError
 
 _TermTuple = tuple[tuple[int, Fraction], ...]
+_IntTerms = tuple[tuple[int, int], ...]
 
 
 def _accumulate(acc: dict, exp: int, coeff) -> None:
@@ -63,83 +73,131 @@ def _norm_terms(pairs) -> _TermTuple:
     return tuple(sorted(combined.items()))
 
 
+def _poly(acc: dict, den: int) -> "EpsPolynomial":
+    """Canonical polynomial with the nonzero int numerators ``acc``
+    (exponent to numerator) over the positive ``den``."""
+    if not acc:
+        return _P_ZERO
+    if den != 1:
+        g = math.gcd(den, *acc.values())
+        if g != 1:
+            return EpsPolynomial(tuple(sorted((e, c // g) for e, c in acc.items())), den // g)
+    return EpsPolynomial(tuple(sorted(acc.items())), den)
+
+
 @dataclass(frozen=True, slots=True)
 class EpsPolynomial:
     """Polynomial in ``eps`` with rational coefficients.
 
-    ``terms`` is a tuple of ``(exponent, coefficient)`` pairs with strictly
-    increasing nonnegative exponents and no zero coefficients; the empty
-    tuple is the zero polynomial.
+    ``coeffs`` is a tuple of ``(exponent, numerator)`` pairs with strictly
+    increasing nonnegative exponents and no zero numerator; coefficient
+    ``c`` stands for ``c / den``.  ``den`` is positive and shares no factor
+    with all the numerators.  The zero polynomial is ``((), 1)``.
     """
 
-    terms: _TermTuple
+    coeffs: _IntTerms
+    den: int = 1
 
     @classmethod
     def from_pairs(cls, pairs) -> "EpsPolynomial":
         terms = _norm_terms((int(e), Fraction(c)) for e, c in pairs)
         if terms and terms[0][0] < 0:
             raise ValueError("polynomial exponents must be nonnegative")
-        return cls(terms)
+        # Over the lcm of the reduced denominators, no prime divides every
+        # numerator: one coefficient carries its full power in the lcm.
+        den = math.lcm(*(c.denominator for _, c in terms))
+        return cls(tuple((e, c.numerator * (den // c.denominator)) for e, c in terms), den)
 
-    @classmethod
-    def constant(cls, value) -> "EpsPolynomial":
-        return cls.from_pairs([(0, Fraction(value))])
+    @property
+    def terms(self) -> _TermTuple:
+        """``(exponent, coefficient)`` pairs with strictly increasing
+        exponents and ``Fraction`` coefficients, none zero."""
+        den = self.den
+        return tuple((e, Fraction(c, den)) for e, c in self.coeffs)
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.coeffs
 
     def order(self):
         """Lowest exponent, or +inf for the zero polynomial."""
-        return self.terms[0][0] if self.terms else math.inf
+        return self.coeffs[0][0] if self.coeffs else math.inf
 
     def degree(self) -> int:
-        if not self.terms:
+        if not self.coeffs:
             return -1
-        return self.terms[-1][0]
+        return self.coeffs[-1][0]
 
     def trailing_coeff(self) -> Fraction:
-        if not self.terms:
+        if not self.coeffs:
             return Fraction(0)
-        return self.terms[0][1]
-
-    def leading_coeff(self) -> Fraction:
-        if not self.terms:
-            return Fraction(0)
-        return self.terms[-1][1]
+        return Fraction(self.coeffs[0][1], self.den)
 
     def __add__(self, other: "EpsPolynomial") -> "EpsPolynomial":
-        return EpsPolynomial(_norm_terms(self.terms + other.terms))
+        den, o_den = self.den, other.den
+        if den == o_den:
+            acc = dict(self.coeffs)
+            for e, c in other.coeffs:
+                _accumulate(acc, e, c)
+        else:
+            g = math.gcd(den, o_den)
+            mine, theirs = o_den // g, den // g
+            acc = {e: c * mine for e, c in self.coeffs}
+            for e, c in other.coeffs:
+                _accumulate(acc, e, c * theirs)
+            den *= mine
+        return _poly(acc, den)
 
     def __sub__(self, other: "EpsPolynomial") -> "EpsPolynomial":
         return self + (-other)
 
     def __neg__(self) -> "EpsPolynomial":
-        return EpsPolynomial(tuple((e, -c) for e, c in self.terms))
+        return EpsPolynomial(tuple((e, -c) for e, c in self.coeffs), self.den)
 
     def __mul__(self, other: "EpsPolynomial") -> "EpsPolynomial":
-        if not self.terms or not other.terms:
+        if not self.coeffs or not other.coeffs:
             return _P_ZERO
-        acc: dict[int, Fraction] = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
+        acc: dict[int, int] = {}
+        for e1, c1 in self.coeffs:
+            for e2, c2 in other.coeffs:
                 _accumulate(acc, e1 + e2, c1 * c2)
-        return EpsPolynomial(tuple(sorted(acc.items())))
+        return _poly(acc, self.den * other.den)
 
-    def scale(self, k: Fraction) -> "EpsPolynomial":
-        if k == 0:
+    def scale(self, k) -> "EpsPolynomial":
+        """Multiply by the rational ``k`` (an ``int`` or ``Fraction``)."""
+        return self._scaled(k.numerator, k.denominator)
+
+    def _scaled(self, p: int, q: int) -> "EpsPolynomial":
+        """Multiply by ``p/q``, with ``q`` positive and coprime to ``p``.
+
+        Cancelling ``gcd(p, den)`` and the gcd of ``q`` with the numerators
+        leaves the result canonical: each cancelled pair is coprime, and
+        so were ``p`` and ``q``.
+        """
+        if not p or not self.coeffs:
             return _P_ZERO
-        return EpsPolynomial(tuple((e, c * k) for e, c in self.terms))
+        den = self.den
+        g = math.gcd(p, den)
+        if g != 1:
+            p //= g
+            den //= g
+        if q != 1:
+            h = math.gcd(q, *(c for _, c in self.coeffs))
+            if h != 1:
+                q //= h
+                return EpsPolynomial(tuple((e, c // h * p) for e, c in self.coeffs), den * q)
+            den *= q
+        return EpsPolynomial(tuple((e, c * p) for e, c in self.coeffs), den)
 
     def shift(self, k: int) -> "EpsPolynomial":
         """Multiply by eps**k (k may be negative if no exponent drops below 0)."""
-        terms = tuple((e + k, c) for e, c in self.terms)
-        if terms and terms[0][0] < 0:
+        coeffs = tuple((e + k, c) for e, c in self.coeffs)
+        if coeffs and coeffs[0][0] < 0:
             raise ValueError("shift would create negative exponents")
-        return EpsPolynomial(terms)
+        return EpsPolynomial(coeffs, self.den)
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self.coeffs:
             return "0"
         parts = []
         for i, (e, c) in enumerate(self.terms):
@@ -163,41 +221,104 @@ class EpsPolynomial:
 
 
 _P_ZERO = EpsPolynomial(())
-_P_ONE = EpsPolynomial(((0, Fraction(1)),))
+_P_ONE = EpsPolynomial(((0, 1),))
 
 
-def _poly_divmod(a: EpsPolynomial, b: EpsPolynomial):
-    if b.is_zero:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = dict(a.terms)
-    quo: dict[int, Fraction] = {}
-    b_deg = b.degree()
-    b_lead = b.leading_coeff()
+def _primitive_part(coeffs) -> _IntTerms:
+    """Int pairs divided by the gcd of their numerators, the sign chosen
+    so the leading numerator is positive (empty stays empty)."""
+    if not coeffs:
+        return ()
+    g = math.gcd(*(c for _, c in coeffs))
+    if coeffs[-1][1] < 0:
+        g = -g
+    return tuple((e, c // g) for e, c in coeffs) if g != 1 else tuple(coeffs)
+
+
+def _pseudo_remainder(a: _IntTerms, b: _IntTerms) -> _IntTerms:
+    """Remainder of ``m*a`` on division by ``b`` over the integers, for
+    some positive int ``m``; ``b`` is nonzero with a positive leading
+    numerator.  Each step multiplies the remainder by only as much of the
+    leading numerator of ``b`` as the exact cancellation needs."""
+    b_deg, b_lead = b[-1]
+    rem = dict(a)
     while rem:
-        r_deg = max(rem)
-        if r_deg < b_deg:
+        top = max(rem)
+        if top < b_deg:
             break
-        factor = rem[r_deg] / b_lead
-        shift = r_deg - b_deg
-        _accumulate(quo, shift, factor)
-        factor = -factor
-        for e, c in b.terms:
-            _accumulate(rem, e + shift, factor * c)
-    q = EpsPolynomial(tuple(sorted(quo.items())))
-    r = EpsPolynomial(tuple(sorted(rem.items())))
-    return q, r
+        lead = rem[top]
+        g = math.gcd(lead, b_lead)
+        mul, factor = b_lead // g, lead // g
+        if mul != 1:
+            for e in rem:
+                rem[e] *= mul
+        shift = top - b_deg
+        for e, c in b:
+            _accumulate(rem, e + shift, -factor * c)
+    return tuple(sorted(rem.items()))
+
+
+def _divide_exactly(a: _IntTerms, g: _IntTerms) -> _IntTerms:
+    """Quotient of the int pairs ``a`` by their factor ``g``.  ``g`` is
+    primitive, so by Gauss's lemma the quotient has int numerators."""
+    g_deg, g_lead = g[-1]
+    rem = dict(a)
+    quo = {}
+    while rem:
+        top = max(rem)
+        factor = rem[top] // g_lead
+        shift = top - g_deg
+        quo[shift] = factor
+        for e, c in g:
+            _accumulate(rem, e + shift, -factor * c)
+    return tuple(sorted(quo.items()))
 
 
 def poly_gcd(a: EpsPolynomial, b: EpsPolynomial) -> EpsPolynomial:
-    """Monic gcd over the rationals (leading coefficient 1)."""
-    while not b.is_zero:
-        a, b = b, _poly_divmod(a, b)[1]
-    if a.is_zero:
+    """Monic gcd over the rationals (leading coefficient 1).
+
+    A primitive remainder sequence over the integers: the gcd of the
+    numerators' primitive parts is the last nonzero primitive
+    pseudo-remainder, and a primitive polynomial with positive leading
+    numerator ``l`` is monic over the denominator ``l``.
+    """
+    x, y = _primitive_part(a.coeffs), _primitive_part(b.coeffs)
+    while y:
+        x, y = y, _primitive_part(_pseudo_remainder(x, y))
+    if not x:
         return _P_ZERO
-    return a.scale(1 / a.leading_coeff())
+    return EpsPolynomial(x, x[-1][1])
 
 
 NumberLike = Union["NonstdNumber", Fraction, int]
+
+
+def _lowest_sign(p: EpsPolynomial, q: EpsPolynomial) -> int:
+    """Sign of the lowest-order coefficient of ``p - q`` (0 when equal).
+
+    Both denominators are positive, so at a shared exponent the sign of
+    ``c/d - c'/d'`` is that of ``c*d' - c'*d``; the walk stops at the
+    first exponent where the two differ and builds no polynomial.
+    """
+    a, b = p.coeffs, q.coeffs
+    a_den, b_den = p.den, q.den
+    i = j = 0
+    while i < len(a) and j < len(b):
+        (ea, ca), (eb, cb) = a[i], b[j]
+        if ea < eb:
+            return 1 if ca > 0 else -1
+        if eb < ea:
+            return -1 if cb > 0 else 1
+        d = ca * b_den - cb * a_den
+        if d:
+            return 1 if d > 0 else -1
+        i += 1
+        j += 1
+    if i < len(a):
+        return 1 if a[i][1] > 0 else -1
+    if j < len(b):
+        return -1 if b[j][1] > 0 else 1
+    return 0
 
 
 @dataclass(frozen=True, slots=True)
@@ -213,12 +334,12 @@ class NonstdNumber:
 
     @staticmethod
     def _make(num: EpsPolynomial, den: EpsPolynomial) -> "NonstdNumber":
+        if den is _P_ONE or den == _P_ONE:
+            return NonstdNumber(num, den)
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
         if num.is_zero:
             return ZERO
-        if den == _P_ONE:
-            return NonstdNumber(num, den)
         # Strip the common eps power first; it keeps the gcd cheap.
         k = min(num.order(), den.order())
         if k:
@@ -226,12 +347,14 @@ class NonstdNumber:
             den = den.shift(-k)
         g = poly_gcd(num, den)
         if g.degree() > 0:
-            num = _poly_divmod(num, g)[0]
-            den = _poly_divmod(den, g)[0]
-        t = den.trailing_coeff()
-        if t != 1:
-            num = num.scale(1 / t)
-            den = den.scale(1 / t)
+            num = EpsPolynomial(_divide_exactly(num.coeffs, g.coeffs), num.den)
+            den = EpsPolynomial(_divide_exactly(den.coeffs, g.coeffs), den.den)
+        # Divide both by den's lowest-order coefficient t/d.
+        t, d = den.coeffs[0][1], den.den
+        if t != d:
+            g = math.gcd(t, d) if t > 0 else -math.gcd(t, d)
+            num = num._scaled(d // g, t // g)
+            den = den._scaled(d // g, t // g)
         return NonstdNumber(num, den)
 
     @classmethod
@@ -239,7 +362,7 @@ class NonstdNumber:
         q = Fraction(value)
         if q == 0:
             return ZERO
-        return cls(EpsPolynomial.constant(q), _P_ONE)
+        return cls(EpsPolynomial(((0, q.numerator),), q.denominator), _P_ONE)
 
     @classmethod
     def from_terms(cls, pairs) -> "NonstdNumber":
@@ -319,7 +442,7 @@ class NonstdNumber:
         """Sign under the germ ordering at eps -> 0+."""
         if self.num.is_zero:
             return 0
-        return 1 if self.num.trailing_coeff() > 0 else -1
+        return 1 if self.num.coeffs[0][1] > 0 else -1
 
     def compare(self, other: NumberLike) -> int:
         """-1, 0, or 1 as self is below, equal to, or above other.
@@ -329,16 +452,11 @@ class NonstdNumber:
         the product of the denominators; no quotient is reduced.
         """
         if isinstance(other, (int, Fraction)):
-            diff = self._plus_rational(-other).num
-        else:
-            o = NonstdNumber.coerce(other)
-            if self.den == o.den:
-                diff = self.num - o.num
-            else:
-                diff = self.num * o.den - o.num * self.den
-        if not diff.terms:
-            return 0
-        return 1 if diff.terms[0][1] > 0 else -1
+            return _lowest_sign(self.num, self.den.scale(other))
+        o = NonstdNumber.coerce(other)
+        if self.den == o.den:
+            return _lowest_sign(self.num, o.num)
+        return _lowest_sign(self.num * o.den, o.num * self.den)
 
     def __lt__(self, other: NumberLike) -> bool:
         return self.compare(other) < 0
@@ -376,7 +494,7 @@ class NonstdNumber:
         """
         if self.num.is_zero:
             return math.inf
-        return self.num.order() - self.den.order()
+        return self.num.coeffs[0][0] - self.den.coeffs[0][0]
 
     def classify(self) -> tuple:
         """Return ``(order, kind)`` with kind among zero, infinitesimal,
@@ -399,19 +517,23 @@ class NonstdNumber:
         return not self.num.is_zero and self.order() > 0
 
     def standard_part(self) -> Fraction:
-        """The closest real number; raises UnlimitedError when none exists."""
+        """The closest real number; raises UnlimitedError when none exists.
+
+        The lowest-order coefficient of a canonical ``den`` is 1, so an
+        appreciable number's standard part is that of ``num``.
+        """
         o = self.order()
         if o is math.inf or o > 0:
             return Fraction(0)
         if o < 0:
             raise UnlimitedError(f"{self} has no standard part")
-        return self.num.trailing_coeff() / self.den.trailing_coeff()
+        return self.num.trailing_coeff()
 
     def __str__(self) -> str:
         if self.den == _P_ONE:
             return str(self.num)
         num = str(self.num)
-        if len(self.num.terms) > 1:
+        if len(self.num.coeffs) > 1:
             num = f"({num})"
         return f"{num}/({self.den})"
 
@@ -423,31 +545,32 @@ def st_ratio(a: "NonstdNumber", b: "NonstdNumber") -> Fraction:
     """Standard part of a/b without forming the quotient.
 
     Only the lowest-order terms matter, so this avoids the gcd work of an
-    exact division.  Raises UnlimitedError when a/b is unlimited and
-    ZeroDivisionError when b is zero.
+    exact division.  Canonical denominators have lowest-order coefficient
+    1, so the ratio is that of the numerators' lowest-order coefficients,
+    one ``Fraction`` built from ints.  Raises UnlimitedError when a/b is
+    unlimited and ZeroDivisionError when b is zero.
     """
-    if b.is_zero:
+    if b.num.is_zero:
         raise ZeroDivisionError("division by zero")
-    if a.is_zero:
+    if a.num.is_zero:
         return Fraction(0)
-    ord_a = a.num.order() - a.den.order()
-    ord_b = b.num.order() - b.den.order()
+    (exp_a, c_a), (exp_b, c_b) = a.num.coeffs[0], b.num.coeffs[0]
+    ord_a = exp_a - a.den.coeffs[0][0]
+    ord_b = exp_b - b.den.coeffs[0][0]
     if ord_a > ord_b:
         return Fraction(0)
     if ord_a < ord_b:
         raise UnlimitedError(f"({a})/({b}) has no standard part")
-    lead_a = a.num.trailing_coeff() / a.den.trailing_coeff()
-    lead_b = b.num.trailing_coeff() / b.den.trailing_coeff()
-    return lead_a / lead_b
+    return Fraction(c_a * b.num.den, c_b * a.num.den)
 
 
 ZERO = NonstdNumber(_P_ZERO, _P_ONE)
 ONE = NonstdNumber(_P_ONE, _P_ONE)
-EPS = NonstdNumber(EpsPolynomial(((1, Fraction(1)),)), _P_ONE)
+EPS = NonstdNumber(EpsPolynomial(((1, 1),)), _P_ONE)
 
 
 def eps_power(k: int) -> NonstdNumber:
     """eps**k for any integer k (negative k gives an unlimited number)."""
     if k >= 0:
-        return NonstdNumber(EpsPolynomial(((k, Fraction(1)),)), _P_ONE)
-    return NonstdNumber(_P_ONE, EpsPolynomial(((-k, Fraction(1)),)))
+        return NonstdNumber(EpsPolynomial(((k, 1),)), _P_ONE)
+    return NonstdNumber(_P_ONE, EpsPolynomial(((-k, 1),)))

@@ -27,6 +27,12 @@ FORMAT_VERSION = 1
 # a longer integer than it spells out.
 RATIONAL_MAX_DIGITS = 4300
 
+# Largest exponent of eps accepted in a polynomial.  The gcd that puts a
+# field element in lowest terms takes time that grows with the degree, so a
+# short document with a huge exponent would run for hours.  The embeddings
+# of a system with L levels use exponents below L.
+EXPONENT_MAX = 100
+
 _DIGITS = rf"[0-9]{{1,{RATIONAL_MAX_DIGITS}}}"
 _RATIONAL = re.compile(rf"(-?{_DIGITS})(?:/({_DIGITS}))?")
 
@@ -75,6 +81,8 @@ def _parse_poly(pairs, where: str) -> EpsPolynomial:
         e, c = item
         if not isinstance(e, int) or e < 0:
             raise ParseError(f"{where}: bad exponent {e!r}")
+        if e > EXPONENT_MAX:
+            raise ParseError(f"{where}: exponent {e} is above EXPONENT_MAX = {EXPONENT_MAX}")
         exps.append(e)
         terms.append((e, parse_rational(c)))
     if exps != sorted(set(exps)):

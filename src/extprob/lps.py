@@ -6,10 +6,11 @@ earlier measures dominating.  Two systems are equivalent when they order
 every pair of random variables identically.  That universal statement is
 decided here on reduced (linearly independent) sequences: equivalence holds
 exactly when each reduced sequence is a lower-triangular positive-diagonal
-transform of the other.  One pass over the levels decides it: level i of
-the second sequence is solved over levels 0 to i of the first, and the
-first level at which that fails is the only place a separating pair of
-random variables needs to be sought, with one null-space solve.  Every
+transform of the other.  One elimination decides it: every level of the
+second sequence is solved over the whole first one at once, level i
+passes when its coefficients are zero above i and positive at i, and the
+first level that fails is the only place a separating pair of random
+variables needs to be sought, with one null-space solve.  Every
 verdict ships with machine-checkable evidence, either the pair of
 transform matrices or the separating pair, and is re-checked against it
 before it is returned.
@@ -17,6 +18,7 @@ before it is returned.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -131,15 +133,14 @@ def reduce_lps(lps: LPS) -> LPS:
     """Drop every measure lying in the rational span of the kept ones before it.
 
     The result has length at most the number of atoms and is equivalent to
-    the input.
+    the input.  One elimination on the transposed rows finds the kept
+    levels: a level is in the span of the kept ones before it exactly when
+    it is in the span of all the levels before it, that is, when its
+    column is not a pivot column.
     """
-    kept = []
-    rows = []
-    for m in lps.measures:
-        if _linalg.solve_combination(rows, m.mass) is None:
-            kept.append(m)
-            rows.append(m.mass)
-    return LPS(lps.algebra, tuple(kept))
+    columns = [[m.mass[a] for m in lps.measures] for a in range(lps.algebra.n_atoms)]
+    kept = _linalg.independent_columns(columns, len(lps.measures))
+    return LPS(lps.algebra, tuple(lps.measures[i] for i in kept))
 
 
 @dataclass(frozen=True)
@@ -179,20 +180,30 @@ class EquivCertificate:
 
 
 def _matrix_rebuilds(matrix, src: LPS, dst: LPS) -> bool:
+    """Each row i of ``matrix`` is zero above i, positive at i, and
+    rebuilds level i of ``dst`` from the levels of ``src``.
+
+    Checked on integer rows: with level j of ``src`` as ``S_j / s_j`` and
+    level i of ``dst`` as ``T / t``, the entries ``row[j] / s_j`` are
+    brought over one denominator ``d`` as ``W_j / d``, and the test is
+    ``sum(W_j * S_j) == T * (d / t)``.
+    """
     if matrix is None or len(matrix) != len(dst) or len(src) != len(dst):
         return False
-    n = src.algebra.n_atoms
+    src_rows = [_linalg.scaled_row(m.mass) for m in src.measures]
     for i, row in enumerate(matrix):
         if len(row) != len(dst):
             return False
         if row[i] <= 0 or any(row[j] != 0 for j in range(i + 1, len(row))):
             return False
-        built = tuple(
-            sum((row[j] * src.measures[j].mass[a] for j in range(i + 1)), Fraction(0))
-            for a in range(n)
-        )
-        if built != dst.measures[i].mass:
-            return False
+        target, t_den = _linalg.scaled_row(dst.measures[i].mass)
+        dens = [row[j].denominator * src_rows[j][1] for j in range(i + 1)]
+        den = math.lcm(t_den, *dens)
+        weights = [row[j].numerator * (den // d) for j, d in enumerate(dens)]
+        k = den // t_den
+        for a, t in enumerate(target):
+            if sum(w * s[0][a] for w, s in zip(weights, src_rows)) != k * t:
+                return False
     return True
 
 
@@ -202,16 +213,19 @@ def _triangular_coeffs(src_rows, dst_rows):
 
     Row i must be a combination of src_rows[0..i] with a positive
     coefficient on src_rows[i]; a level that only one family has fails.
+    The source rows are independent, so a level has at most one
+    combination of all of them, and it is one of src_rows[0..i] exactly
+    when it is zero above i; one elimination solves every level.
     """
+    solved = _linalg.solve_combinations(src_rows, dst_rows)
     out = []
     for i in range(max(len(src_rows), len(dst_rows))):
         if i >= len(src_rows) or i >= len(dst_rows):
             return tuple(out), i
-        coeffs = _linalg.solve_combination(src_rows[: i + 1], dst_rows[i])
-        if coeffs is None or coeffs[i] <= 0:
+        coeffs = solved[i]
+        if coeffs is None or coeffs[i] <= 0 or any(coeffs[i + 1:]):
             return tuple(out), i
-        padded = tuple(coeffs) + tuple(Fraction(0) for _ in range(len(dst_rows) - i - 1))
-        out.append(padded)
+        out.append(tuple(coeffs[: i + 1]) + (Fraction(0),) * (len(dst_rows) - i - 1))
     return tuple(out), None
 
 

@@ -49,8 +49,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 
+from ._linalg import scaled_row
 from .errors import (
     InvalidPopperSpaceError,
     NotAnSlpsError,
@@ -173,10 +173,9 @@ def _scaled(mass):
     least common denominator, or None when a mass has no denominator (it
     is not a rational)."""
     try:
-        den = lcm(*(m.denominator for m in mass))
+        return scaled_row(mass)
     except AttributeError:
         return None
-    return [m.numerator * (den // m.denominator) for m in mass], den
 
 
 def _integer_rows(space: PopperSpace):

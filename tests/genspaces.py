@@ -54,6 +54,27 @@ def random_slps(rng, algebra):
     return LPS(algebra, tuple(StdMeasure(algebra, r) for r in rows[:keep]))
 
 
+def covering_slps(rng, algebra):
+    """Random system whose supports partition the atoms, with weights 1 to
+    5 on each support."""
+    n = algebra.n_atoms
+    atoms = list(range(n))
+    rng.shuffle(atoms)
+    k = rng.randint(1, n)
+    cuts = sorted(rng.sample(range(1, n), k - 1)) if k > 1 else []
+    rows = []
+    start = 0
+    for c in cuts + [n]:
+        block = atoms[start:c]
+        start = c
+        masses = [F(0)] * n
+        for i in block:
+            masses[i] = F(rng.randint(1, 5))
+        s = sum(masses)
+        rows.append(tuple(m / s for m in masses))
+    return LPS(algebra, tuple(StdMeasure(algebra, r) for r in rows))
+
+
 def compose(system, schedule):
     n = system.algebra.n_atoms
     masses = tuple(

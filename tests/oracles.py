@@ -4,13 +4,16 @@ They are slow and written for clarity; the tests compare the library's
 fast paths against them on small seeded spaces.
 """
 
+import math
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 
 from extprob import _linalg
+from extprob.errors import UnlimitedError
 from extprob.jsonio import RATIONAL_MAX_DIGITS, ParseError
 from extprob.field import ONE, ZERO, NonstdNumber
-from extprob.lps import EquivCertificate, _restrict, _split_witness, reduce_lps
+from extprob.lps import LPS, EquivCertificate, _restrict, _split_witness
 from extprob.npsbridge import nps_to_popper
 from extprob.popper import PopperSpace, _treelike_findings
 from extprob.spaces import algebra_findings, subsets
@@ -180,16 +183,32 @@ def standard_layers(nu):
     return layers, scales
 
 
-def _triangular_coeffs(src_rows, dst_rows):
-    """Lower-triangular rows expressing dst over src, or None."""
+def reduce_lps_by_levels(lps):
+    """``lps.reduce_lps`` level by level: a level is kept when it is not a
+    combination of the levels kept before it, one solve per level."""
+    kept = []
+    rows = []
+    for m in lps.measures:
+        if _linalg.solve_combination(rows, m.mass) is None:
+            kept.append(m)
+            rows.append(m.mass)
+    return LPS(lps.algebra, tuple(kept))
+
+
+def triangular_coeffs_by_prefix(src_rows, dst_rows):
+    """``lps._triangular_coeffs`` prefix by prefix: level i of dst is
+    solved over src_rows[0..i] alone.  Returns the lower-triangular rows
+    and the first level that fails (None when none does)."""
     out = []
-    for i, target in enumerate(dst_rows):
-        coeffs = _linalg.solve_combination(src_rows[: i + 1], target)
+    for i in range(max(len(src_rows), len(dst_rows))):
+        if i >= len(src_rows) or i >= len(dst_rows):
+            return tuple(out), i
+        coeffs = _linalg.solve_combination(src_rows[: i + 1], dst_rows[i])
         if coeffs is None or coeffs[i] <= 0:
-            return None
+            return tuple(out), i
         padded = tuple(coeffs) + tuple(Fraction(0) for _ in range(len(dst_rows) - i - 1))
         out.append(padded)
-    return tuple(out)
+    return tuple(out), None
 
 
 def separating_vector(rows_a, rows_b, n):
@@ -249,17 +268,36 @@ def _pick_signed(f, g, basis, n):
     return assemble(coords)
 
 
+def matrix_rebuilds_by_fractions(matrix, src, dst):
+    """``lps._matrix_rebuilds`` in Fraction arithmetic: each row is zero
+    above the diagonal, positive on it, and its weighted sum of the
+    ``src`` levels is the ``dst`` level, atom by atom."""
+    if matrix is None or len(matrix) != len(dst) or len(src) != len(dst):
+        return False
+    n = src.algebra.n_atoms
+    for i, row in enumerate(matrix):
+        if len(row) != len(dst):
+            return False
+        if row[i] <= 0 or any(row[j] != 0 for j in range(i + 1, len(row))):
+            return False
+        built = tuple(
+            sum((row[j] * src.measures[j].mass[a] for j in range(i + 1)), Fraction(0))
+            for a in range(n)
+        )
+        if built != dst.measures[i].mass:
+            return False
+    return True
+
+
 def equivalence_by_search(a, b):
     """Equivalence certificate from the two-sided triangular test and, when
     it fails, a search over every pair of levels (i, j) for a separating
     vector on the null space of the rows above them."""
-    rows_a = [m.mass for m in reduce_lps(a).measures]
-    rows_b = [m.mass for m in reduce_lps(b).measures]
-    forward = backward = None
-    if len(rows_a) == len(rows_b):
-        forward = _triangular_coeffs(rows_a, rows_b)
-        backward = _triangular_coeffs(rows_b, rows_a) if forward else None
-    if forward and backward:
+    rows_a = [m.mass for m in reduce_lps_by_levels(a).measures]
+    rows_b = [m.mass for m in reduce_lps_by_levels(b).measures]
+    forward, level = triangular_coeffs_by_prefix(rows_a, rows_b)
+    backward, back_level = triangular_coeffs_by_prefix(rows_b, rows_a)
+    if level is None and back_level is None:
         return EquivCertificate(
             "equivalent", a, b, forward_matrix=forward, backward_matrix=backward
         )
@@ -344,3 +382,225 @@ def parse_rational_by_str(text):
         return Fraction(str(text))
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational {text!r}: {exc}") from None
+
+
+# ------------------------------------------------ the field over Fractions
+
+def _accumulate(acc, exp, coeff):
+    if exp in acc:
+        c = acc[exp] + coeff
+        if c:
+            acc[exp] = c
+        else:
+            del acc[exp]
+    elif coeff:
+        acc[exp] = coeff
+
+
+def _norm_terms(pairs):
+    combined = {}
+    for exp, coeff in pairs:
+        _accumulate(combined, exp, coeff)
+    return tuple(sorted(combined.items()))
+
+
+@dataclass(frozen=True)
+class FractionPolynomial:
+    """Polynomial in eps with ``Fraction`` coefficients: ``terms`` is a
+    tuple of ``(exponent, coefficient)`` pairs, exponents increasing, no
+    zero coefficient."""
+
+    terms: tuple
+
+    @classmethod
+    def from_pairs(cls, pairs):
+        return cls(_norm_terms((int(e), Fraction(c)) for e, c in pairs))
+
+    @property
+    def is_zero(self):
+        return not self.terms
+
+    def order(self):
+        return self.terms[0][0] if self.terms else math.inf
+
+    def degree(self):
+        return self.terms[-1][0] if self.terms else -1
+
+    def trailing_coeff(self):
+        return self.terms[0][1] if self.terms else Fraction(0)
+
+    def leading_coeff(self):
+        return self.terms[-1][1] if self.terms else Fraction(0)
+
+    def __add__(self, other):
+        return FractionPolynomial(_norm_terms(self.terms + other.terms))
+
+    def __neg__(self):
+        return FractionPolynomial(tuple((e, -c) for e, c in self.terms))
+
+    def __mul__(self, other):
+        acc = {}
+        for e1, c1 in self.terms:
+            for e2, c2 in other.terms:
+                _accumulate(acc, e1 + e2, c1 * c2)
+        return FractionPolynomial(tuple(sorted(acc.items())))
+
+    def scale(self, k):
+        if k == 0:
+            return _FP_ZERO
+        return FractionPolynomial(tuple((e, c * k) for e, c in self.terms))
+
+    def shift(self, k):
+        return FractionPolynomial(tuple((e + k, c) for e, c in self.terms))
+
+    def __str__(self):
+        if not self.terms:
+            return "0"
+        parts = []
+        for i, (e, c) in enumerate(self.terms):
+            if e == 0:
+                body = str(c)
+            else:
+                mag = "eps" if e == 1 else f"eps^{e}"
+                if c == 1:
+                    body = mag
+                elif c == -1:
+                    body = f"-{mag}"
+                else:
+                    body = f"{c}*{mag}"
+            if i == 0:
+                parts.append(body)
+            elif body.startswith("-"):
+                parts.append(f" - {body[1:]}")
+            else:
+                parts.append(f" + {body}")
+        return "".join(parts)
+
+
+_FP_ZERO = FractionPolynomial(())
+_FP_ONE = FractionPolynomial(((0, Fraction(1)),))
+
+
+def fraction_divmod(a, b):
+    """Quotient and remainder of long division over the rationals."""
+    if b.is_zero:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = dict(a.terms)
+    quo = {}
+    b_deg = b.degree()
+    b_lead = b.leading_coeff()
+    while rem:
+        r_deg = max(rem)
+        if r_deg < b_deg:
+            break
+        factor = rem[r_deg] / b_lead
+        shift = r_deg - b_deg
+        _accumulate(quo, shift, factor)
+        factor = -factor
+        for e, c in b.terms:
+            _accumulate(rem, e + shift, factor * c)
+    return (
+        FractionPolynomial(tuple(sorted(quo.items()))),
+        FractionPolynomial(tuple(sorted(rem.items()))),
+    )
+
+
+def fraction_poly_gcd(a, b):
+    """Monic gcd by Euclid's algorithm over the rationals."""
+    while not b.is_zero:
+        a, b = b, fraction_divmod(a, b)[1]
+    if a.is_zero:
+        return _FP_ZERO
+    return a.scale(1 / a.leading_coeff())
+
+
+@dataclass(frozen=True)
+class FractionNumber:
+    """``field.NonstdNumber`` over :class:`FractionPolynomial`, in the same
+    canonical form; every operation is the general one, through
+    :meth:`make`, with no shortcut for a rational operand or a shared
+    denominator, and ordering is the sign of the difference."""
+
+    num: FractionPolynomial
+    den: FractionPolynomial
+
+    @staticmethod
+    def make(num, den):
+        if den.is_zero:
+            raise ZeroDivisionError("zero denominator")
+        if num.is_zero:
+            return FractionNumber(_FP_ZERO, _FP_ONE)
+        k = min(num.order(), den.order())
+        num, den = num.shift(-k), den.shift(-k)
+        g = fraction_poly_gcd(num, den)
+        if g.degree() > 0:
+            num = fraction_divmod(num, g)[0]
+            den = fraction_divmod(den, g)[0]
+        t = den.trailing_coeff()
+        return FractionNumber(num.scale(1 / t), den.scale(1 / t))
+
+    @classmethod
+    def of(cls, value):
+        """The number with the terms of a ``NonstdNumber``, or a rational."""
+        if isinstance(value, NonstdNumber):
+            num, den = value.num.terms, value.den.terms
+        else:
+            num, den = ((0, Fraction(value)),), ((0, Fraction(1)),)
+        return cls.make(FractionPolynomial.from_pairs(num), FractionPolynomial.from_pairs(den))
+
+    @property
+    def is_zero(self):
+        return self.num.is_zero
+
+    def __add__(self, other):
+        return FractionNumber.make(self.num * other.den + other.num * self.den, self.den * other.den)
+
+    def __neg__(self):
+        return FractionNumber(-self.num, self.den)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        return FractionNumber.make(self.num * other.num, self.den * other.den)
+
+    def __truediv__(self, other):
+        if other.is_zero:
+            raise ZeroDivisionError("division by zero")
+        return FractionNumber.make(self.num * other.den, self.den * other.num)
+
+    def sign(self):
+        if self.num.is_zero:
+            return 0
+        return 1 if self.num.trailing_coeff() > 0 else -1
+
+    def compare(self, other):
+        return (self - other).sign()
+
+    def standard_part(self):
+        if self.num.is_zero:
+            return Fraction(0)
+        o = self.num.order() - self.den.order()
+        if o > 0:
+            return Fraction(0)
+        if o < 0:
+            raise UnlimitedError(f"{self} has no standard part")
+        return self.num.trailing_coeff() / self.den.trailing_coeff()
+
+    def __hash__(self):
+        if self.den == _FP_ONE and self.num.degree() <= 0:
+            return hash(self.num.trailing_coeff())
+        return hash((self.num.terms, self.den.terms))
+
+    def __str__(self):
+        if self.den == _FP_ONE:
+            return str(self.num)
+        num = str(self.num)
+        if len(self.num.terms) > 1:
+            num = f"({num})"
+        return f"{num}/({self.den})"
+
+
+def fraction_st_ratio(a, b):
+    """Standard part of the exact quotient."""
+    return (a / b).standard_part()

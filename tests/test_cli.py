@@ -403,6 +403,13 @@ class TestMalformedInput:
         )
         assert "bad rational" in err
 
+    def test_exponent_over_limit(self, tmp_path, capsys):
+        doc = jsonio.encode(NonstdMeasure.from_values(AB, [ONE - EPS, EPS]))
+        doc["mass"][0] = {"num": [[0, "1"], [10**9, "1"]], "den": [[0, "1"], [1, "1"]]}
+        path = write(tmp_path, "nu.json", doc)
+        err = self.run_bad(["validate", "--in", path], capsys)
+        assert f"exponent {10**9} is above EXPONENT_MAX = {jsonio.EXPONENT_MAX}" in err
+
     @staticmethod
     def unreadable_file(tmp_path, kind):
         """A path whose JSON cannot be read: bytes that are not UTF-8,

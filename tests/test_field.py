@@ -2,16 +2,20 @@
 
 import doctest
 import math
+import operator
 import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from genspaces import simeq_pair, tilted
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import FractionNumber, FractionPolynomial, fraction_poly_gcd, fraction_st_ratio
 
 import extprob.field
 from extprob.errors import UnlimitedError
-from extprob.field import EPS, ONE, ZERO, EpsPolynomial, NonstdNumber, eps_power
+from extprob.field import EPS, ONE, ZERO, EpsPolynomial, NonstdNumber, eps_power, poly_gcd, st_ratio
 
 F = Fraction
 
@@ -257,3 +261,102 @@ def test_compare_is_sign_of_difference():
         for b in values:
             assert a.compare(b) == (a - b).sign()
             assert (a < b) == ((a - b).sign() < 0)
+
+
+def random_pairs(rng, nonzero):
+    """Up to three terms on exponents 0 to 4, with small coefficients and
+    now and then one with a denominator up to 10^6."""
+    exps = rng.sample(range(5), rng.randint(1 if nonzero else 0, 3))
+    return [
+        (e, F(rng.choice((-1, 1)) * rng.randint(1, 10**6), rng.randint(1, 10**6))
+         if rng.random() < 0.04 else F(rng.choice((-1, 1)) * rng.randint(1, 6), rng.randint(1, 6)))
+        for e in exps
+    ]
+
+
+def field_pool(rng, count):
+    """``count`` numbers, each with its twin over Fraction coefficients:
+    three in four a quotient of random polynomials put in lowest terms by
+    both fields, the rest masses of ``genspaces.simeq_pair`` measures,
+    tilted by ``genspaces.tilted``, read into the oracle through ``terms``."""
+    pool = []
+    while len(pool) < count * 3 // 4:
+        num, den = random_pairs(rng, False), random_pairs(rng, True)
+        pool.append((
+            NonstdNumber._make(EpsPolynomial.from_pairs(num), EpsPolynomial.from_pairs(den)),
+            FractionNumber.make(FractionPolynomial.from_pairs(num), FractionPolynomial.from_pairs(den)),
+        ))
+    while len(pool) < count:
+        a, b = simeq_pair(rng)
+        pool.extend((m, FractionNumber.of(m)) for nu in (a, tilted(rng, b)) for m in nu.mass)
+    return pool[:count]
+
+
+def outcome(f, *args):
+    """The value of ``f(*args)``, or the type of the error it raises."""
+    try:
+        return f(*args)
+    except (UnlimitedError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+def assert_same(x, o):
+    assert x.num.terms == o.num.terms and x.den.terms == o.den.terms
+    assert all(type(c) is F for _, c in x.num.terms + x.den.terms)
+    assert str(x) == str(o) and hash(x) == hash(o)
+    assert outcome(x.standard_part) == outcome(o.standard_part)
+
+
+def test_integer_field_matches_fraction_field():
+    """Every operation against the field over Fraction coefficients on
+    2,000 seeded numbers, each paired with another number and with a
+    rational; the four arithmetic operations take turns."""
+    rng = random.Random(71)
+    pool = field_pool(rng, 2000)
+    assert sum(x.den != ONE.den for x, _ in pool) >= 400
+    assert sum(x.den.degree() > 0 and x.num.degree() > 0 for x, _ in pool) >= 200
+    ops = (operator.add, operator.sub, operator.mul, operator.truediv)
+    for i, (x, ox) in enumerate(pool):
+        assert_same(x, ox)
+        y, oy = pool[rng.randrange(len(pool))] if i % 5 else pool[i]
+        assert (x == y) == (ox == oy)
+        assert x.compare(y) == ox.compare(oy)
+        assert outcome(st_ratio, x, y) == outcome(fraction_st_ratio, ox, oy)
+        op = ops[i % 4]
+        got, want = outcome(op, x, y), outcome(op, ox, oy)
+        if isinstance(want, type):
+            assert got is want
+        else:
+            assert_same(got, want)
+        k = rng.choice((rng.randint(-3, 3), F(rng.randint(-9, 9), rng.randint(1, 9))))
+        ok = FractionNumber.of(k)
+        assert x.compare(k) == ox.compare(ok)
+        assert_same(op(x, k) if op is not operator.truediv else k - x,
+                    op(ox, ok) if op is not operator.truediv else ok - ox)
+
+
+def test_poly_gcd_matches_sympy_and_fraction_oracle():
+    """The primitive remainder sequence against Euclid over the rationals
+    (the same monic gcd) and against ``sympy.gcd`` (up to a rational unit),
+    on products sharing a random factor, zero polynomials included."""
+    rng = random.Random(73)
+    eps = sympy.Symbol("eps")
+
+    def as_sympy(p):
+        return sum((sympy.Rational(c.numerator, c.denominator) * eps**e for e, c in p.terms), sympy.Integer(0))
+
+    nontrivial = 0
+    for _ in range(300):
+        f, g, h = (EpsPolynomial.from_pairs(random_pairs(rng, True)) for _ in range(3))
+        a = f * g if rng.random() < 0.9 else EpsPolynomial.from_pairs([])
+        b = h * g if rng.random() < 0.9 else EpsPolynomial.from_pairs([])
+        got = poly_gcd(a, b)
+        want = fraction_poly_gcd(FractionPolynomial(a.terms), FractionPolynomial(b.terms))
+        assert got.terms == want.terms
+        ref = sympy.gcd(as_sympy(a), as_sympy(b))
+        if ref == 0:
+            assert got.is_zero
+        else:
+            assert sympy.Poly(as_sympy(got), eps, domain="QQ") == sympy.Poly(ref, eps, domain="QQ").monic()
+        nontrivial += got.degree() > 0
+    assert nontrivial >= 150

@@ -83,6 +83,16 @@ class TestStrictness:
         with pytest.raises(jsonio.ParseError):
             jsonio.parse_nonstd({"num": [[2, "1"], [1, "1"]], "den": [[0, "1"]]})
 
+    def test_exponent_limit_is_inclusive(self):
+        top = jsonio.EXPONENT_MAX
+        x = jsonio.parse_nonstd({"num": [[0, "1"], [top, "1"]], "den": [[0, "1"], [1, "1"]]})
+        assert x.num.degree() + x.den.degree() >= top
+        for where in ("num", "den"):
+            doc = {"num": [[0, "1"]], "den": [[0, "1"]]}
+            doc[where] = [[0, "1"], [top + 1, "1"]]
+            with pytest.raises(jsonio.ParseError, match=f"{where}: exponent {top + 1} is above"):
+                jsonio.parse_nonstd(doc)
+
     def test_rejects_zero_denominator(self):
         with pytest.raises(jsonio.ParseError):
             jsonio.parse_nonstd({"num": [[0, "1"]], "den": []})

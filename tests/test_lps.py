@@ -8,12 +8,27 @@ import pytest
 import sympy
 
 from genspaces import aeq_pair, triangular_variant
-from oracles import equivalence_by_search
+from oracles import (
+    equivalence_by_search,
+    matrix_rebuilds_by_fractions,
+    reduce_lps_by_levels,
+    triangular_coeffs_by_prefix,
+)
 
 from extprob import _linalg, jsonio
 from extprob._linalg import nullspace_basis, solve_combination
 from extprob.errors import AlgebraMismatchError, ZeroConditioningError
-from extprob.lps import EQ, GT, LT, LPS, equivalence, reduce_lps
+from extprob.lps import (
+    EQ,
+    GT,
+    LT,
+    LPS,
+    EquivCertificate,
+    _matrix_rebuilds,
+    _triangular_coeffs,
+    equivalence,
+    reduce_lps,
+)
 from extprob.spaces import RandomVariable, SpaceAlgebra, StdMeasure
 
 F = Fraction
@@ -254,6 +269,13 @@ def first_failing_level(a, b):
     return None
 
 
+def changed(matrix, i, j, value):
+    """``matrix`` with entry (i, j) replaced by ``value``."""
+    rows = [list(row) for row in matrix]
+    rows[i][j] = value
+    return tuple(tuple(row) for row in rows)
+
+
 class TestAgainstSearchOracle:
     def test_certificates_match_level_pair_search(self):
         """The first-failing-level decision against the search over every
@@ -272,6 +294,61 @@ class TestAgainstSearchOracle:
             late_failures += level is not None and level >= 1
         assert min(verdicts.values()) >= 200
         assert late_failures >= 50
+
+    def test_one_elimination_matches_level_loops(self):
+        """On ``aeq_pair`` draws, the reductions, the forward and backward
+        matrices and the first failing level in each direction match one
+        solve per level and one per prefix."""
+        rng = random.Random(79)
+        levels = {None: 0, 0: 0, "later": 0}
+        for _ in range(1000):
+            a, b = aeq_pair(rng)
+            rows = []
+            for s in (a, b):
+                kept = reduce_lps(s)
+                assert kept.measures == reduce_lps_by_levels(s).measures
+                rows.append([m.mass for m in kept.measures])
+            for src, dst in (rows, rows[::-1]):
+                got = _triangular_coeffs(src, dst)
+                assert got == triangular_coeffs_by_prefix(src, dst)
+                levels[got[1] if got[1] in (None, 0) else "later"] += 1
+            cert = equivalence(a, b)
+            if cert.equivalent:
+                assert cert.forward_matrix == _triangular_coeffs(rows[0], rows[1])[0]
+                assert cert.backward_matrix == _triangular_coeffs(rows[1], rows[0])[0]
+        assert min(levels.values()) >= 200, levels
+
+    def test_verify_rejects_tampered_matrices(self):
+        """The integer-row matrix check against the Fraction sums, on the
+        matrices of equivalent ``aeq_pair`` draws and on copies with one
+        entry moved by 1/7, a nonzero entry above the diagonal, a negated
+        diagonal entry or the last row dropped: the genuine ones verify,
+        no tampered one does."""
+        rng = random.Random(83)
+        tampered = 0
+        for _ in range(600):
+            a, b = aeq_pair(rng)
+            cert = equivalence(a, b)
+            if not cert.equivalent:
+                continue
+            ra, rb = reduce_lps(a), reduce_lps(b)
+            m = cert.forward_matrix
+            i = rng.randrange(len(m))
+            j = rng.randrange(i + 1)
+            variants = [changed(m, i, j, m[i][j] + F(1, 7)), changed(m, i, i, -m[i][i]), m[:-1]]
+            if i:
+                variants.append(changed(m, i - 1, i, F(1, 7)))
+            assert _matrix_rebuilds(m, ra, rb)
+            assert matrix_rebuilds_by_fractions(m, ra, rb)
+            for bad in variants:
+                assert not _matrix_rebuilds(bad, ra, rb)
+                assert not matrix_rebuilds_by_fractions(bad, ra, rb)
+                forged = EquivCertificate(
+                    "equivalent", a, b, forward_matrix=bad, backward_matrix=cert.backward_matrix
+                )
+                assert not forged.verify()
+                tampered += 1
+        assert tampered >= 600
 
     def test_one_nullspace_basis_per_inequivalent_call(self, monkeypatch):
         calls = []

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from genspaces import algebra_of, random_row, random_treelike_space
+from genspaces import algebra_of, covering_slps, random_row, random_treelike_space
 from genspaces import random_slps as draw_slps
 from oracles import popper_findings, slps_to_popper_by_condition, treelike_levels
 
@@ -328,25 +328,6 @@ class TestPopperToSlps:
             popper_to_slps(pairs_only_space())
 
 
-def random_slps(rng, algebra):
-    n = algebra.n_atoms
-    atoms = list(range(n))
-    rng.shuffle(atoms)
-    k = rng.randint(1, n)
-    cuts = sorted(rng.sample(range(1, n), k - 1)) if k > 1 else []
-    rows = []
-    start = 0
-    for c in cuts + [n]:
-        block = atoms[start:c]
-        start = c
-        masses = [F(0)] * n
-        for i in block:
-            masses[i] = F(rng.randint(1, 5))
-        s = sum(masses)
-        rows.append(tuple(m / s for m in masses))
-    return LPS(algebra, tuple(StdMeasure(algebra, r) for r in rows))
-
-
 class TestBijection:
     def test_round_trip_and_injectivity(self):
         rng = random.Random(29)
@@ -354,7 +335,7 @@ class TestBijection:
         for _ in range(60):
             n = rng.randint(2, 5)
             algebra = SpaceAlgebra.discrete([f"w{i}" for i in range(n)])
-            s = random_slps(rng, algebra)
+            s = covering_slps(rng, algebra)
             p = slps_to_popper(s)
             back = popper_to_slps(p)
             assert back.measures == s.measures
@@ -370,7 +351,7 @@ class TestBijection:
         for _ in range(10):
             n = rng.randint(2, 4)
             algebra = SpaceAlgebra.discrete([f"w{i}" for i in range(n)])
-            p = slps_to_popper(random_slps(rng, algebra))
+            p = slps_to_popper(covering_slps(rng, algebra))
             assert validate_popper(p, "popper").is_valid
 
 
