@@ -224,6 +224,19 @@ _P_ZERO = EpsPolynomial(())
 _P_ONE = EpsPolynomial(((0, 1),))
 
 
+def _combination(pairs) -> EpsPolynomial:
+    """``sum(k * p for p, k in pairs)`` for polynomials ``p`` and nonzero
+    rationals ``k``: the int numerators are summed over the lcm of the
+    ``p.den * k.denominator`` and normalised with one gcd."""
+    den = math.lcm(*(p.den * k.denominator for p, k in pairs))
+    acc: dict[int, int] = {}
+    for p, k in pairs:
+        m = k.numerator * (den // (p.den * k.denominator))
+        for e, c in p.coeffs:
+            _accumulate(acc, e, c * m)
+    return _poly(acc, den)
+
+
 def _primitive_part(coeffs) -> _IntTerms:
     """Int pairs divided by the gcd of their numerators, the sign chosen
     so the leading numerator is positive (empty stays empty)."""

@@ -27,10 +27,13 @@ FORMAT_VERSION = 1
 # a longer integer than it spells out.
 RATIONAL_MAX_DIGITS = 4300
 
-# Largest exponent of eps accepted in a polynomial.  The gcd that puts a
+# Largest exponent of eps accepted in a polynomial, and largest total
+# degree of the distinct denominators of a measure's masses (the degree of
+# the common denominator that sums of masses reach).  The gcd that puts a
 # field element in lowest terms takes time that grows with the degree, so a
-# short document with a huge exponent would run for hours.  The embeddings
-# of a system with L levels use exponents below L.
+# short document with a huge exponent, or many masses over different
+# denominators, would run for hours.  The embeddings of a system with L
+# levels use exponents below L, and polynomial masses have denominator 1.
 EXPONENT_MAX = 100
 
 _DIGITS = rf"[0-9]{{1,{RATIONAL_MAX_DIGITS}}}"
@@ -237,7 +240,14 @@ def parse_std_measure(doc) -> StdMeasure:
 def parse_nonstd_measure(doc) -> NonstdMeasure:
     algebra = parse_space(doc["space"])
     row = _mass_row(doc["mass"], algebra, "mass")
-    return NonstdMeasure(algebra, tuple(parse_nonstd(x) for x in row))
+    masses = tuple(parse_nonstd(x) for x in row)
+    degree = sum(d.degree() for d in {m.den for m in masses})
+    if degree > EXPONENT_MAX:
+        raise ParseError(
+            f"mass: the distinct denominators have total degree {degree}, "
+            f"above EXPONENT_MAX = {EXPONENT_MAX}"
+        )
+    return NonstdMeasure(algebra, masses)
 
 
 def parse_lps(doc) -> LPS:

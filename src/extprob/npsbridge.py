@@ -12,32 +12,92 @@ positive, sum to one, and fall infinitely fast (consecutive ratios have
 standard part zero), which is precisely the condition under which the
 measure and the system order all random variables identically.
 
+Both directions, and the conditional-space image, work on polynomial
+numerators over one positive common denominator ``D``: the product of the
+distinct canonical denominators of the masses (or coefficients), which is
+``1`` whenever they are polynomials.  Sums, rational multiples and
+comparisons are then polynomial operations with no gcd, a standard part
+of a ratio is read off the numerators' lowest-order terms, and each field
+element is built once, at the end, from its numerator over ``D``.  The
+repair of a negative layer keeps a running cushion, the sum of the layers
+kept so far, updated once per level.
+
 Two equivalence relations are decided here: the fine one (identical
 orderings of all random variables, decided through the decompositions and
 certified), and the coarse one (same zero events and same standard parts
 of all conditional probabilities, decided on the events of one or two
-atoms).
+atoms).  A pair of masses of one sign cannot cancel, so the standard part
+of a pair conditional is read off their lowest-order terms, without
+forming the sum.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import AlgebraMismatchError, LengthMismatchError
-from .field import NonstdNumber, ONE, ZERO, eps_power, st_ratio
+from .field import (
+    _P_ONE,
+    _P_ZERO,
+    NonstdNumber,
+    ONE,
+    _combination,
+    _lowest_sign,
+    eps_power,
+    st_ratio,
+)
 from .lps import LPS, EquivCertificate, equivalence
 from .popper import PopperSpace
 from .spaces import NonstdMeasure, StdMeasure
 
+_ZERO_F = Fraction(0)
+
+
+def _over_one_denominator(values):
+    """``(numerators, D)``: each canonical number in ``values`` as a
+    polynomial numerator over D, the product of their distinct
+    denominators (``_P_ONE`` when all of them are polynomials)."""
+    dens = [d for d in dict.fromkeys(v.den for v in values) if d != _P_ONE]
+    if not dens:
+        return [v.num for v in values], _P_ONE
+    cofactor = {_P_ONE: math.prod(dens, start=_P_ONE)}
+    for k, d in enumerate(dens):
+        cofactor[d] = math.prod(dens[:k] + dens[k + 1:], start=_P_ONE)
+    return [
+        v.num if cofactor[v.den] is _P_ONE else v.num * cofactor[v.den] for v in values
+    ], cofactor[_P_ONE]
+
+
+def _st_ratio_over(p, q, den) -> Fraction:
+    """``st_ratio`` of ``p/den`` and ``q/den`` for numerators over one
+    denominator, read off their lowest-order terms; ``q`` is nonzero."""
+    if not p.coeffs:
+        return _ZERO_F
+    (ep, cp), (eq, cq) = p.coeffs[0], q.coeffs[0]
+    if ep > eq:
+        return _ZERO_F
+    if ep < eq:
+        # Unlimited: let st_ratio word the error on the two numbers.
+        return st_ratio(NonstdNumber._make(p, den), NonstdNumber._make(q, den))
+    return Fraction(cp * q.den, cq * p.den)
+
+
+def _weighted_sum(lps: LPS, numerators, den) -> NonstdMeasure:
+    """The measure ``sum(numerators[i] * lps[i]) / den``, atom by atom."""
+    levels = tuple(zip(numerators, (m.mass for m in lps.measures)))
+    return NonstdMeasure(lps.algebra, tuple(
+        NonstdNumber._make(_combination([(c, mass[a]) for c, mass in levels if mass[a]]), den)
+        for a in range(lps.algebra.n_atoms)
+    ))
+
 
 def _compose(lps: LPS, coefficients) -> NonstdMeasure:
-    """The weighted sum ``sum(coefficients[i] * lps[i])``, atom by atom."""
-    masses = tuple(
-        sum((c * m.mass[a] for c, m in zip(coefficients, lps.measures, strict=True)), ZERO)
-        for a in range(lps.algebra.n_atoms)
-    )
-    return NonstdMeasure(lps.algebra, masses)
+    """The weighted sum ``sum(coefficients[i] * lps[i])``, atom by atom
+    (ValueError when the lengths differ)."""
+    coeffs = [NonstdNumber.coerce(c) for c, _ in zip(coefficients, lps.measures, strict=True)]
+    return _weighted_sum(lps, *_over_one_denominator(coeffs))
 
 
 def lps_to_nps(lps: LPS) -> NonstdMeasure:
@@ -60,6 +120,50 @@ class Decomposition:
         return _compose(self.lps, self.coefficients)
 
 
+def _peel(residual, den, n_atoms):
+    """The peel of :func:`_standard_layers` on the masses ``residual / den``:
+    each layer an int row over a positive int, each scale a numerator
+    over ``den`` (scale 0 is ``den`` itself, the number one).  A layer's
+    entries at its scale's order are ratios of lowest-order coefficients,
+    and the rest are zero."""
+    layers = []
+    scales = []
+    scale = den
+    for _ in range(n_atoms + 1):
+        (order, lead), lead_den = scale.coeffs[0], scale.den
+        leads = [r.coeffs[0][0] if r.coeffs else order + 1 for r in residual]
+        for r, e in zip(residual, leads):
+            if e < order:
+                _st_ratio_over(r, scale, den)  # raises: the ratio is unlimited
+        # c/d over lead/lead_den is c*lead_den*(m/d) over lead*m.
+        m = math.lcm(*(r.den for r, e in zip(residual, leads) if e == order))
+        row = [
+            r.coeffs[0][1] * lead_den * (m // r.den) if e == order else 0
+            for r, e in zip(residual, leads)
+        ]
+        row_den = lead * m
+        g = math.gcd(row_den, *row)
+        if g > 1:
+            row = [x // g for x in row]
+            row_den //= g
+        layers.append((row, row_den))
+        scales.append(scale)
+        residual = [
+            r + scale.scale(Fraction(-x, row_den)) if x else r for r, x in zip(residual, row)
+        ]
+        scale = _P_ZERO
+        for r in residual:
+            if r.coeffs and r.coeffs[0][1] < 0:
+                r = -r
+            if _lowest_sign(r, scale) > 0:
+                scale = r
+        if scale.is_zero:
+            break
+    else:
+        raise AssertionError("residual failed to vanish within the atom bound")
+    return layers, scales
+
+
 def _standard_layers(nu: NonstdMeasure):
     """Split the mass vector into standard layers with fast-falling scales.
 
@@ -70,64 +174,79 @@ def _standard_layers(nu: NonstdMeasure):
     by division instead, which divides the residual by its largest entry
     at every step and takes plain standard parts, divides by exactly that
     entry over the previous scale; its running product of divisors is this
-    scale, and its layers are these, as exact values.  ``st_ratio`` reads
-    only lowest-order terms and forms no quotient, so polynomial masses
-    need no gcd at all.
+    scale, and its layers are these, as exact values.  The peel runs on
+    the masses' numerators over one denominator and reads only
+    lowest-order terms, so it forms no quotient and takes no gcd.
     """
-    layers = []
-    scales = []
-    residual = list(nu.mass)
-    scale = ONE
-    for _ in range(nu.algebra.n_atoms + 1):
-        layer = [st_ratio(r, scale) for r in residual]
-        layers.append(layer)
-        scales.append(scale)
-        residual = [r - scale * s for r, s in zip(residual, layer)]
-        scale = max((abs(r) for r in residual), default=ZERO)
-        if scale.is_zero:
-            break
-    else:
-        raise AssertionError("residual failed to vanish within the atom bound")
-    return layers, scales
+    numerators, den = _over_one_denominator(nu.mass)
+    layers, scales = _peel(numerators, den, nu.algebra.n_atoms)
+    return (
+        [[Fraction(x, d) for x in row] for row, d in layers],
+        [NonstdNumber._make(s, den) for s in scales],
+    )
 
 
 def nps_to_lps(nu: NonstdMeasure) -> Decomposition:
-    """Exact decomposition of a measure into weighted standard layers."""
-    layers, scales = _standard_layers(nu)
-    measures = [StdMeasure(nu.algebra, tuple(layers[0]))]
+    """Exact decomposition of a measure into weighted standard layers.
+
+    Layers are int rows over an int and coefficients are numerators over
+    the masses' common denominator until the end.  ``cushion / cushion_den``
+    is the sum of the layers kept so far, the mass that a negative entry
+    of the next layer borrows from.
+    """
+    numerators, den = _over_one_denominator(nu.mass)
+    layers, scales = _peel(numerators, den, nu.algebra.n_atoms)
+    cushion, cushion_den = layers[0]
+    measures = [StdMeasure(nu.algebra, tuple(Fraction(x, cushion_den) for x in cushion))]
     coeffs = [scales[0]]
-    for m in range(1, len(layers)):
-        layer = layers[m]
-        scale = scales[m]
+    for (row, d), scale in zip(layers[1:], scales[1:]):
         # Repair negative entries with earlier layers, then renormalize.
-        shortfall = Fraction(0)
-        for i, value in enumerate(layer):
-            if value < 0:
-                cushion = sum((mu.mass[i] for mu in measures), Fraction(0))
-                shortfall = max(shortfall, -value / cushion)
+        shortfall = _ZERO_F
+        for x, c in zip(row, cushion):
+            if x < 0:
+                shortfall = max(shortfall, -Fraction(x, d) / Fraction(c, cushion_den))
         if shortfall:
-            layer = [
-                value + shortfall * sum((mu.mass[i] for mu in measures), Fraction(0))
-                for i, value in enumerate(layer)
-            ]
-            coeffs = [c - shortfall * scale for c in coeffs]
-        total = sum(layer, Fraction(0))
-        measures.append(StdMeasure(nu.algebra, tuple(v / total for v in layer)))
-        coeffs.append(scale * total)
-    return Decomposition(LPS(nu.algebra, tuple(measures)), tuple(coeffs))
+            p, q = shortfall.numerator, shortfall.denominator
+            row = [x * q * cushion_den + p * c * d for x, c in zip(row, cushion)]
+            d *= q * cushion_den
+            coeffs = [c + scale._scaled(-p, q) for c in coeffs]
+        t = sum(row)
+        total = Fraction(t, d)
+        if not t:
+            Fraction(row[0], d) / total  # raises ZeroDivisionError
+        measures.append(StdMeasure(nu.algebra, tuple(Fraction(x, t) for x in row)))
+        cushion = [c * t + x * cushion_den for c, x in zip(cushion, row)]
+        cushion_den *= t
+        g = math.gcd(cushion_den, *cushion)
+        if g > 1:
+            cushion = [c // g for c in cushion]
+            cushion_den //= g
+        coeffs.append(scale._scaled(total.numerator, total.denominator))
+    return Decomposition(
+        LPS(nu.algebra, tuple(measures)),
+        tuple(NonstdNumber._make(c, den) for c in coeffs),
+    )
 
 
 def nps_to_popper(nu: NonstdMeasure) -> PopperSpace:
-    """Condition on every event of nonzero measure and keep standard parts."""
+    """Condition on every event of nonzero measure and keep standard parts.
+
+    Event masses are numerators over the masses' common denominator, each
+    the mass of the event less its largest atom (listed before it) plus
+    that atom's.
+    """
+    numerators, den = _over_one_denominator(nu.mass)
+    n = nu.algebra.n_atoms
+    sums = {frozenset(): _P_ZERO}
     table = {}
-    zero = Fraction(0)
     for ev in nu.algebra.events():
-        total = nu.event_mass(ev)
+        top = max(ev)
+        total = sums[ev] = sums[ev - {top}] + numerators[top]
         if total.is_zero:
             continue
         row = tuple(
-            st_ratio(nu.mass[a], total) if a in ev else zero
-            for a in range(nu.algebra.n_atoms)
+            _st_ratio_over(numerators[a], total, den) if a in ev else _ZERO_F
+            for a in range(n)
         )
         table[ev] = StdMeasure(nu.algebra, row)
     return PopperSpace(nu.algebra, tuple(table), table)
@@ -139,9 +258,28 @@ def _check_same_algebra(a: NonstdMeasure, b: NonstdMeasure):
 
 
 def _pair_standard_part(nu: NonstdMeasure, i: int, j: int):
-    """Standard part of nu({i} | {i, j}), or None when {i, j} has mass zero."""
-    total = nu.mass[i] + nu.mass[j]
-    return None if total.is_zero else st_ratio(nu.mass[i], total)
+    """Standard part of nu({i} | {i, j}), or None when {i, j} has mass zero.
+
+    Masses of one sign cannot cancel: the sum's lowest-order term is that
+    of the mass of lower order, or the two coefficients added at a shared
+    order, so the standard part is 1, 0 or ``c_i / (c_i + c_j)``.  Masses
+    of opposite signs are summed.
+    """
+    x, y = nu.mass[i], nu.mass[j]
+    if not y.num.coeffs:
+        return None if not x.num.coeffs else 1
+    if not x.num.coeffs:
+        return 0
+    (ex, cx), (ey, cy) = x.num.coeffs[0], y.num.coeffs[0]
+    if (cx > 0) != (cy > 0):
+        total = x + y
+        return None if total.is_zero else st_ratio(x, total)
+    # A canonical denominator's lowest-order coefficient is 1.
+    ox, oy = ex - x.den.coeffs[0][0], ey - y.den.coeffs[0][0]
+    if ox != oy:
+        return 1 if ox < oy else 0
+    cx *= y.num.den
+    return Fraction(cx, cx + cy * x.num.den)
 
 
 def nps_equiv_simeq(a: NonstdMeasure, b: NonstdMeasure) -> bool:
@@ -200,13 +338,14 @@ def verify_aeqchar(lps: LPS, coefficients) -> bool:
         )
     if any(c.sign() <= 0 for c in coeffs):
         return False
-    if sum(coeffs, ZERO) != ONE:
+    numerators, den = _over_one_denominator(coeffs)
+    if sum(numerators, _P_ZERO) != den:
         return False
     for early, late in zip(coeffs, coeffs[1:]):
         # Both are positive, so late / early is infinitesimal iff its order is.
         if late.order() <= early.order():
             return False
-    return equivalence(nps_to_lps(_compose(lps, coeffs)).lps, lps).equivalent
+    return equivalence(nps_to_lps(_weighted_sum(lps, numerators, den)).lps, lps).equivalent
 
 
 def geometric_schedule(length: int) -> tuple:

@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+from oracles import compose_by_numbers as compose
+
 from extprob.field import EPS, ONE, ZERO
 from extprob.fincof import FinCofEvent
 from extprob.lps import LPS, reduce_lps
@@ -75,18 +77,6 @@ def covering_slps(rng, algebra):
     return LPS(algebra, tuple(StdMeasure(algebra, r) for r in rows))
 
 
-def compose(system, schedule):
-    n = system.algebra.n_atoms
-    masses = tuple(
-        sum(
-            (schedule[i] * system.measures[i].mass[a] for i in range(len(system))),
-            ZERO,
-        )
-        for a in range(n)
-    )
-    return NonstdMeasure(system.algebra, masses)
-
-
 def triangular_variant(rng, base):
     """Equivalent system built from random convex lower-triangular rows."""
     rows = []
@@ -117,6 +107,21 @@ def tilted(rng, nu):
     masses = [m / tilt if rng.random() < 0.5 else m for m in nu.mass]
     total = sum(masses, ZERO)
     return NonstdMeasure(nu.algebra, tuple(m / total for m in masses))
+
+
+def tilted_apart(rng, nu):
+    """Some masses each divided by its own 1 + k*eps (k distinct, 1 to 6,
+    so at most 6 atoms), the mass they lose moved to one other atom:
+    masses with several distinct denominators that still sum to one."""
+    n = nu.algebra.n_atoms
+    absorb = rng.randrange(n)
+    masses = list(nu.mass)
+    for i, k in enumerate(rng.sample(range(1, 7), n)):
+        if i != absorb and rng.random() < 0.7:
+            shrunk = masses[i] / (ONE + k * EPS)
+            masses[absorb] = masses[absorb] + (masses[i] - shrunk)
+            masses[i] = shrunk
+    return NonstdMeasure(nu.algebra, tuple(masses))
 
 
 def simeq_pair(rng, max_atoms=6):

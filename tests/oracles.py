@@ -12,11 +12,11 @@ from fractions import Fraction
 from extprob import _linalg
 from extprob.errors import UnlimitedError
 from extprob.jsonio import RATIONAL_MAX_DIGITS, ParseError
-from extprob.field import ONE, ZERO, NonstdNumber
+from extprob.field import ONE, ZERO, NonstdNumber, st_ratio
 from extprob.lps import LPS, EquivCertificate, _restrict, _split_witness
-from extprob.npsbridge import nps_to_popper
+from extprob.npsbridge import Decomposition
 from extprob.popper import PopperSpace, _treelike_findings
-from extprob.spaces import algebra_findings, subsets
+from extprob.spaces import NonstdMeasure, StdMeasure, algebra_findings, subsets
 
 
 def _key(ev):
@@ -154,10 +154,105 @@ def slps_to_popper_by_condition(slps):
     return PopperSpace(slps.algebra, tuple(table), table)
 
 
+def nps_to_popper_by_event_mass(nu):
+    """The conditional-space image in the field's own arithmetic: every
+    event of nonzero mass, each conditional the ``st_ratio`` of an atom's
+    mass and the event's."""
+    table = {}
+    for ev in nu.algebra.events():
+        total = nu.event_mass(ev)
+        if total.is_zero:
+            continue
+        row = tuple(
+            st_ratio(nu.mass[a], total) if a in ev else Fraction(0)
+            for a in range(nu.algebra.n_atoms)
+        )
+        table[ev] = StdMeasure(nu.algebra, row)
+    return PopperSpace(nu.algebra, tuple(table), table)
+
+
 def simeq_by_images(a, b):
     """Coarse equivalence from its definition: the conditional-space images,
     built over every event of nonzero mass, are equal."""
-    return nps_to_popper(a) == nps_to_popper(b)
+    return nps_to_popper_by_event_mass(a) == nps_to_popper_by_event_mass(b)
+
+
+def pair_standard_part_by_sum(nu, i, j):
+    """Standard part of nu({i} | {i, j}) from the summed pair mass, or None
+    when it is zero."""
+    total = nu.mass[i] + nu.mass[j]
+    return None if total.is_zero else st_ratio(nu.mass[i], total)
+
+
+def simeq_by_pair_sums(a, b):
+    """``npsbridge.nps_equiv_simeq`` with every pair conditional read off
+    the summed pair mass."""
+    n = a.algebra.n_atoms
+    for i in range(n):
+        if a.mass[i].is_zero != b.mass[i].is_zero:
+            return False
+        for j in range(i + 1, n):
+            if pair_standard_part_by_sum(a, i, j) != pair_standard_part_by_sum(b, i, j):
+                return False
+    return True
+
+
+def compose_by_numbers(lps, coefficients):
+    """The weighted sum ``sum(coefficients[i] * lps[i])`` in field
+    arithmetic, atom by atom."""
+    masses = tuple(
+        sum((c * m.mass[a] for c, m in zip(coefficients, lps.measures, strict=True)), ZERO)
+        for a in range(lps.algebra.n_atoms)
+    )
+    return NonstdMeasure(lps.algebra, masses)
+
+
+def standard_layers_by_st_ratio(nu):
+    """Layered peeling in field arithmetic without division: layer k is
+    the ``st_ratio`` of each residual entry and scale k, the largest
+    residual entry in absolute value."""
+    layers = []
+    scales = []
+    residual = list(nu.mass)
+    scale = ONE
+    for _ in range(nu.algebra.n_atoms + 1):
+        layer = [st_ratio(r, scale) for r in residual]
+        layers.append(layer)
+        scales.append(scale)
+        residual = [r - scale * s for r, s in zip(residual, layer)]
+        scale = max((abs(r) for r in residual), default=ZERO)
+        if scale.is_zero:
+            break
+    else:
+        raise AssertionError("residual failed to vanish within the atom bound")
+    return layers, scales
+
+
+def nps_to_lps_by_numbers(nu):
+    """``npsbridge.nps_to_lps`` in field and ``Fraction`` arithmetic: each
+    negative layer entry is repaired with the sum of every earlier layer,
+    summed afresh for each atom."""
+    layers, scales = standard_layers_by_st_ratio(nu)
+    measures = [StdMeasure(nu.algebra, tuple(layers[0]))]
+    coeffs = [scales[0]]
+    for m in range(1, len(layers)):
+        layer = layers[m]
+        scale = scales[m]
+        shortfall = Fraction(0)
+        for i, value in enumerate(layer):
+            if value < 0:
+                cushion = sum((mu.mass[i] for mu in measures), Fraction(0))
+                shortfall = max(shortfall, -value / cushion)
+        if shortfall:
+            layer = [
+                value + shortfall * sum((mu.mass[i] for mu in measures), Fraction(0))
+                for i, value in enumerate(layer)
+            ]
+            coeffs = [c - shortfall * scale for c in coeffs]
+        total = sum(layer, Fraction(0))
+        measures.append(StdMeasure(nu.algebra, tuple(v / total for v in layer)))
+        coeffs.append(scale * total)
+    return Decomposition(LPS(nu.algebra, tuple(measures)), tuple(coeffs))
 
 
 def standard_layers(nu):

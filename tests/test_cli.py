@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import pytest
 
+from genspaces import algebra_of
+
 from extprob import cli, jsonio
 from extprob.cli import main
 from extprob.field import EPS, ONE
@@ -409,6 +411,19 @@ class TestMalformedInput:
         path = write(tmp_path, "nu.json", doc)
         err = self.run_bad(["validate", "--in", path], capsys)
         assert f"exponent {10**9} is above EXPONENT_MAX = {jsonio.EXPONENT_MAX}" in err
+
+    def test_mass_denominators_over_degree_limit(self, tmp_path, capsys):
+        """Five masses 1/(1 + a*eps^b + c*eps^100), each exponent within
+        the limit: summing them reaches a denominator of degree 500, whose
+        gcds take tens of seconds, so the document is refused."""
+        doc = jsonio.encode(NonstdMeasure.from_values(algebra_of(5), [ONE] + [0] * 4))
+        doc["mass"] = [
+            {"num": [[0, "1"]], "den": [[0, "1"], [b, str(a)], [100, str(c)]]}
+            for a, b, c in ((3, 73, 2), (5, 16, 8), (8, 61, 7), (4, 13, 8), (1, 50, 7))
+        ]
+        path = write(tmp_path, "nu.json", doc)
+        err = self.run_bad(["validate", "--in", path], capsys)
+        assert f"total degree 500, above EXPONENT_MAX = {jsonio.EXPONENT_MAX}" in err
 
     @staticmethod
     def unreadable_file(tmp_path, kind):

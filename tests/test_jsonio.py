@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from genspaces import algebra_of
+
 from extprob import jsonio
 from extprob.field import EPS, ONE
 from extprob.lps import LPS, equivalence
@@ -92,6 +94,30 @@ class TestStrictness:
             doc[where] = [[0, "1"], [top + 1, "1"]]
             with pytest.raises(jsonio.ParseError, match=f"{where}: exponent {top + 1} is above"):
                 jsonio.parse_nonstd(doc)
+
+    def test_denominator_degree_limit_is_inclusive(self):
+        """The degrees of the distinct mass denominators add up; a
+        denominator shared by several masses counts once."""
+        top = jsonio.EXPONENT_MAX
+
+        def measure(*degrees):
+            mass = [{"num": [[0, "1"]], "den": [[0, "1"], [d, "1"]]} for d in degrees]
+            return {
+                "format_version": 1,
+                "type": "nonstd_measure",
+                "space": jsonio.encode_space(algebra_of(len(degrees))),
+                "mass": mass,
+            }
+
+        for degrees in ((top,), (top // 2, top - top // 2), (top, top)):
+            _, nu = jsonio.parse_document(measure(*degrees))
+            assert [m.den.degree() for m in nu.mass] == list(degrees)
+        for degrees in ((top // 2, top - top // 2 + 1), (1, 2, top - 2)):
+            with pytest.raises(
+                jsonio.ParseError,
+                match=f"total degree {top + 1}, above EXPONENT_MAX = {top}",
+            ):
+                jsonio.parse_document(measure(*degrees))
 
     def test_rejects_zero_denominator(self):
         with pytest.raises(jsonio.ParseError):

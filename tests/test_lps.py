@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from genspaces import aeq_pair, triangular_variant
+from genspaces import aeq_pair, covering_slps, random_lps, triangular_variant
 from oracles import (
     equivalence_by_search,
     matrix_rebuilds_by_fractions,
@@ -154,19 +154,6 @@ class TestReduce:
             assert len(out) <= n
 
 
-def random_lps(rng, algebra, max_len=None):
-    n = algebra.n_atoms
-    rows = []
-    for _ in range(rng.randint(1, max_len or n + 1)):
-        masses = [F(0)] * n
-        support = rng.sample(range(n), rng.randint(1, n))
-        for i in support:
-            masses[i] = F(rng.randint(1, 6))
-        s = sum(masses)
-        rows.append(tuple(m / s for m in masses))
-    return lps(algebra, *rows)
-
-
 def random_rv(rng, algebra):
     return RandomVariable.from_values(
         algebra, [rng.randint(-3, 3) for _ in range(algebra.n_atoms)]
@@ -206,7 +193,7 @@ class TestEquivalence:
         for _ in range(30):
             n = rng.randint(2, 4)
             algebra = SpaceAlgebra.discrete([f"w{i}" for i in range(n)])
-            a = random_lps(rng, algebra)
+            a = random_lps(rng, algebra, max_len=n + 1)
             cert = equivalence(a, reduce_lps(a))
             assert cert.equivalent and cert.verify()
 
@@ -225,8 +212,8 @@ class TestEquivalence:
         for _ in range(60):
             n = rng.randint(2, 4)
             algebra = SpaceAlgebra.discrete([f"w{i}" for i in range(n)])
-            a = random_slps(rng, algebra)
-            b = random_slps(rng, algebra)
+            a = covering_slps(rng, algebra)
+            b = covering_slps(rng, algebra)
             cert = equivalence(a, b)
             assert cert.equivalent == (a.measures == b.measures)
             assert cert.verify()
@@ -237,11 +224,11 @@ class TestEquivalence:
         for _ in range(12):
             n = rng.randint(2, 4)
             algebra = SpaceAlgebra.discrete([f"w{i}" for i in range(n)])
-            a = random_lps(rng, algebra)
+            a = random_lps(rng, algebra, max_len=n + 1)
             b = (
                 triangular_variant(rng, reduce_lps(a))
                 if rng.random() < 0.5
-                else random_lps(rng, algebra)
+                else random_lps(rng, algebra, max_len=n + 1)
             )
             pairs.append((a, b, equivalence(a, b)))
         for a, b, cert in pairs:
@@ -366,33 +353,12 @@ class TestAgainstSearchOracle:
         assert calls == [3]
 
 
-def random_slps(rng, algebra):
-    n = algebra.n_atoms
-    atoms = list(range(n))
-    rng.shuffle(atoms)
-    k = rng.randint(1, n)
-    cut_points = sorted(rng.sample(range(1, n), k - 1)) if k > 1 else []
-    blocks = []
-    start = 0
-    for c in cut_points + [n]:
-        blocks.append(atoms[start:c])
-        start = c
-    rows = []
-    for block in blocks:
-        masses = [F(0)] * n
-        for i in block:
-            masses[i] = F(rng.randint(1, 5))
-        s = sum(masses)
-        rows.append(tuple(m / s for m in masses))
-    return lps(algebra, *rows)
-
-
 def test_generated_slps_classify_as_slps():
     rng = random.Random(23)
     for _ in range(30):
         n = rng.randint(2, 5)
         algebra = SpaceAlgebra.discrete([f"w{i}" for i in range(n)])
-        assert random_slps(rng, algebra).classify().is_slps
+        assert covering_slps(rng, algebra).classify().is_slps
 
 
 class TestLinalg:

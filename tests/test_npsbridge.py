@@ -6,14 +6,25 @@ from fractions import Fraction
 
 import pytest
 
-from genspaces import algebra_of, compose, simeq_pair
-from oracles import simeq_by_images, standard_layers
+from genspaces import algebra_of, compose, covering_slps, random_lps, simeq_pair, tilted_apart
+from oracles import (
+    compose_by_numbers,
+    nps_to_lps_by_numbers,
+    nps_to_popper_by_event_mass,
+    pair_standard_part_by_sum,
+    simeq_by_images,
+    simeq_by_pair_sums,
+    standard_layers,
+    standard_layers_by_st_ratio,
+)
 
 from extprob.errors import AlgebraMismatchError, LengthMismatchError, SizeLimitError
 from extprob.field import EPS, NonstdNumber, ONE, ZERO
 from extprob.lps import LPS, equivalence
 from extprob.npsbridge import (
     Decomposition,
+    _compose,
+    _pair_standard_part,
     _standard_layers,
     geometric_schedule,
     lps_to_nps,
@@ -110,18 +121,6 @@ def random_nps(rng, max_atoms=4):
     algebra = SpaceAlgebra.discrete([f"w{i}" for i in range(n)])
     system = random_lps(rng, algebra)
     return compose(system, geometric_schedule(len(system)))
-
-
-def random_lps(rng, algebra, max_len=None):
-    n = algebra.n_atoms
-    rows = []
-    for _ in range(rng.randint(1, max_len or n)):
-        masses = [F(0)] * n
-        for i in rng.sample(range(n), rng.randint(1, n)):
-            masses[i] = F(rng.randint(1, 6))
-        s = sum(masses)
-        rows.append(tuple(m / s for m in masses))
-    return lps(algebra, *rows)
 
 
 class TestNpsToPopper:
@@ -230,6 +229,131 @@ class TestAgainstOracles:
         assert min(verdicts.values()) >= 200
 
 
+def outcome(f, *args):
+    """What ``f(*args)`` gives: its value, or the type and message of the
+    exception it raises."""
+    try:
+        return f(*args)
+    except Exception as exc:
+        return (type(exc), str(exc))
+
+
+def number_structure(x):
+    """The canonical representation of a field element, field by field."""
+    return (x.num.coeffs, x.num.den, x.den.coeffs, x.den.den)
+
+
+def decomposition_structure(dec):
+    if isinstance(dec, tuple):
+        return dec
+    return [m.mass for m in dec.lps.measures], [number_structure(c) for c in dec.coefficients]
+
+
+def layers_structure(out):
+    if isinstance(out[0], type):
+        return out
+    layers, scales = out
+    return layers, [number_structure(s) for s in scales]
+
+
+def signed_measures():
+    """Hand-built measures with signed, cancelling, unlimited or zero
+    masses, not all summing to one: the exceptions must agree too."""
+    e2 = EPS * EPS
+    three = SpaceAlgebra.discrete(["w1", "w2", "w3"])
+    rows = [
+        (AB, (1 + EPS, -EPS)),  # a negative entry with no cushion
+        (AB, (2 + EPS, -1 - EPS)),  # a layer that sums to zero
+        (AB, (-1, 2)),
+        (AB, (EPS, -EPS)),  # a pair that cancels to zero
+        (AB, (1 / EPS, 1 - 1 / EPS)),  # unlimited masses
+        (AB, (ONE / (ONE + EPS), EPS / (ONE + EPS))),
+        (three, (1 + EPS, -1 + e2, 1 - EPS - e2)),  # a pair that cancels to infinitesimal
+        (three, (1 - EPS, EPS - e2, e2)),
+        (three, (1 + EPS - e2, -EPS, e2)),
+        (three, (ONE / (ONE + EPS), -EPS / (ONE + 2 * EPS), ONE / (ONE - EPS))),
+        (three, (F(1, 2) - EPS / (ONE + EPS), F(1, 2) + EPS / (ONE + 2 * EPS), ZERO)),
+    ]
+    rng = random.Random(61)
+    for _ in range(300):
+        n = rng.randint(2, 4)
+        masses = []
+        for _ in range(n):
+            x = NonstdNumber.from_terms(
+                [(e, F(rng.randint(-3, 3), rng.randint(1, 2))) for e in range(3)]
+            )
+            masses.append(x / (ONE + rng.randint(1, 3) * EPS) if rng.random() < 0.3 else x)
+        rows.append((algebra_of(n), tuple(masses)))
+    return [nsm(algebra, *masses) for algebra, masses in rows]
+
+
+class TestAgainstReplacedArithmetic:
+    """The conversions on numerators over one denominator against the same
+    algorithms in per-number field arithmetic (``tests/oracles.py``)."""
+
+    @staticmethod
+    def check_measure(nu):
+        assert layers_structure(outcome(_standard_layers, nu)) == layers_structure(
+            outcome(standard_layers_by_st_ratio, nu)
+        )
+        dec = outcome(nps_to_lps, nu)
+        assert decomposition_structure(dec) == decomposition_structure(
+            outcome(nps_to_lps_by_numbers, nu)
+        )
+        if not isinstance(dec, tuple):
+            composed = compose_by_numbers(dec.lps, dec.coefficients)
+            assert [number_structure(m) for m in dec.recompose().mass] == [
+                number_structure(m) for m in composed.mass
+            ]
+            assert composed == nu
+        n = nu.algebra.n_atoms
+        for i in range(n):
+            for j in range(n):
+                if i != j:
+                    assert outcome(_pair_standard_part, nu, i, j) == outcome(
+                        pair_standard_part_by_sum, nu, i, j
+                    )
+        if n <= 4:
+            assert outcome(nps_to_popper, nu) == outcome(nps_to_popper_by_event_mass, nu)
+
+    def test_seeded_measures_match_field_arithmetic(self):
+        """Embeddings under both schedules, tilted copies with one
+        denominator and copies with several distinct ones, 1 to 6 atoms."""
+        rng = random.Random(67)
+        measures = 0
+        several = 0
+        verdicts = {True: 0, False: 0}
+        for _ in range(700):
+            a, b = simeq_pair(rng)
+            c = tilted_apart(rng, b)
+            for nu in (a, b, c):
+                self.check_measure(nu)
+                measures += 1
+                several += len({m.den for m in nu.mass} - {ONE.den}) >= 2
+            for x, y in ((a, b), (a, c), (b, c)):
+                verdict = nps_equiv_simeq(x, y)
+                assert verdict is simeq_by_pair_sums(x, y)
+                verdicts[verdict] += 1
+        assert measures >= 2000
+        assert several >= 300
+        assert min(verdicts.values()) >= 300
+
+    def test_signed_and_cancelling_masses_match_field_arithmetic(self):
+        measures = signed_measures()
+        for nu in measures:
+            self.check_measure(nu)
+        for a, b in zip(measures, measures[1:]):
+            if a.algebra == b.algebra:
+                assert outcome(nps_equiv_simeq, a, b) == outcome(simeq_by_pair_sums, a, b)
+
+    def test_compose_length_mismatch_matches(self):
+        system = lps(AB, (F(1, 2), F(1, 2)), (1, 0))
+        for coefficients in ((ONE,), (ONE - EPS, EPS, ZERO), (F(1, 2), F(1, 2))):
+            assert outcome(_compose, system, coefficients) == outcome(
+                compose_by_numbers, system, coefficients
+            )
+
+
 class TestVerifyAeqchar:
     def test_point_schedule_accepted(self):
         for late in (EPS, EPS / (ONE + EPS)):
@@ -259,27 +383,8 @@ class TestCompositionLaw:
         for _ in range(25):
             n = rng.randint(2, 4)
             algebra = SpaceAlgebra.discrete([f"w{i}" for i in range(n)])
-            s = random_slps(rng, algebra)
+            s = covering_slps(rng, algebra)
             assert nps_to_popper(lps_to_nps(s)) == slps_to_popper(s)
-
-
-def random_slps(rng, algebra):
-    n = algebra.n_atoms
-    atoms = list(range(n))
-    rng.shuffle(atoms)
-    k = rng.randint(1, n)
-    cuts = sorted(rng.sample(range(1, n), k - 1)) if k > 1 else []
-    rows = []
-    start = 0
-    for c in cuts + [n]:
-        block = atoms[start:c]
-        start = c
-        masses = [F(0)] * n
-        for i in block:
-            masses[i] = F(rng.randint(1, 5))
-        s = sum(masses)
-        rows.append(tuple(m / s for m in masses))
-    return LPS(algebra, tuple(StdMeasure(algebra, r) for r in rows))
 
 
 def test_expectation_with_scaled_bet_goes_negative():
