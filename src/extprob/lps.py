@@ -13,7 +13,11 @@ first level that fails is the only place a separating pair of random
 variables needs to be sought, with one null-space solve.  Every
 verdict ships with machine-checkable evidence, either the pair of
 transform matrices or the separating pair, and is re-checked against it
-before it is returned.
+before it is returned.  The backward matrix is the inverse of the forward
+one, built by substitution on the triangle rather than by a second
+elimination, and the self-check reuses the two reductions the decision
+made; only the public ``EquivCertificate.verify`` reduces the systems
+again, from the certificate alone.
 """
 
 from __future__ import annotations
@@ -169,14 +173,18 @@ class EquivCertificate:
     def verify(self) -> bool:
         """Re-derive the verdict from the attached evidence alone."""
         if self.equivalent:
-            ra, rb = reduce_lps(self.lhs), reduce_lps(self.rhs)
-            return _matrix_rebuilds(self.forward_matrix, ra, rb) and _matrix_rebuilds(
-                self.backward_matrix, rb, ra
-            )
+            return self._rebuilds(reduce_lps(self.lhs), reduce_lps(self.rhs))
         x, y = self.witness
         ca = self.lhs.compare_expectations(x, y)
         cb = self.rhs.compare_expectations(x, y)
         return ca != cb
+
+    def _rebuilds(self, ra: LPS, rb: LPS) -> bool:
+        """The forward matrix rebuilds ``rb`` from ``ra``, the reductions of
+        the two systems, and the backward matrix rebuilds ``ra`` from ``rb``."""
+        return _matrix_rebuilds(self.forward_matrix, ra, rb) and _matrix_rebuilds(
+            self.backward_matrix, rb, ra
+        )
 
 
 def _matrix_rebuilds(matrix, src: LPS, dst: LPS) -> bool:
@@ -229,6 +237,20 @@ def _triangular_coeffs(src_rows, dst_rows):
     return tuple(out), None
 
 
+def _inverse(lower):
+    """Inverse of a lower-triangular matrix with nonzero diagonal, row by
+    row by forward substitution: row i of ``lower`` times the inverse is
+    row i of the identity."""
+    inv = []
+    for i, row in enumerate(lower):
+        out = [Fraction(0)] * len(lower)
+        out[i] = 1 / row[i]
+        for j in range(i):
+            out[j] = -sum((row[m] * inv[m][j] for m in range(j, i)), Fraction(0)) / row[i]
+        inv.append(tuple(out))
+    return tuple(inv)
+
+
 def _restrict(functional, basis):
     return tuple(
         sum((functional[a] * vec[a] for a in range(len(functional))), Fraction(0))
@@ -276,8 +298,12 @@ def equivalence(a: LPS, b: LPS) -> EquivCertificate:
     equivalent, a separating pair of random variables when not.  Level i
     of the reduced second system is solved over levels 0 to i of the
     reduced first.  When every level passes and the lengths agree, the
-    forward matrix is lower triangular with positive diagonal, so its
-    inverse, the backward matrix, is too.  Otherwise let i be the first
+    forward matrix F is lower triangular with positive diagonal, so its
+    inverse, the backward matrix, is too; it is built from F by
+    substitution, and equals what solving the first system over the
+    second would give, since the reduced levels are independent.  The
+    matrices are checked against the two reductions made here, not
+    against fresh ones.  Otherwise let i be the first
     failing level.  Below i both families span the same space, so on its
     null space every vector is zero at levels 0 to i-1 of both, and one
     whose level i is positive under the first and negative (or absent)
@@ -288,17 +314,19 @@ def equivalence(a: LPS, b: LPS) -> EquivCertificate:
     """
     if a.algebra != b.algebra:
         raise AlgebraMismatchError("systems live on different algebras")
-    rows_a = [m.mass for m in reduce_lps(a).measures]
-    rows_b = [m.mass for m in reduce_lps(b).measures]
+    ra, rb = reduce_lps(a), reduce_lps(b)
+    rows_a = [m.mass for m in ra.measures]
+    rows_b = [m.mass for m in rb.measures]
     forward, level = _triangular_coeffs(rows_a, rows_b)
     if level is None:
-        backward, _ = _triangular_coeffs(rows_b, rows_a)
         cert = EquivCertificate(
-            "equivalent", a, b, forward_matrix=forward, backward_matrix=backward
+            "equivalent", a, b, forward_matrix=forward, backward_matrix=_inverse(forward)
         )
+        checked = cert._rebuilds(ra, rb)
     else:
         z = _separate_at(rows_a, rows_b, level, a.algebra.n_atoms)
         cert = EquivCertificate("inequivalent", a, b, witness=_split_witness(a.algebra, z))
-    if not cert.verify():
+        checked = cert.verify()
+    if not checked:
         raise AssertionError("equivalence certificate failed its self-check")
     return cert

@@ -84,20 +84,16 @@ def _st_ratio_over(p, q, den) -> Fraction:
     return Fraction(cp * q.den, cq * p.den)
 
 
-def _weighted_sum(lps: LPS, numerators, den) -> NonstdMeasure:
-    """The measure ``sum(numerators[i] * lps[i]) / den``, atom by atom."""
+def _compose(lps: LPS, coefficients) -> NonstdMeasure:
+    """The weighted sum ``sum(coefficients[i] * lps[i])``, atom by atom
+    (ValueError when the lengths differ)."""
+    coeffs = [NonstdNumber.coerce(c) for c, _ in zip(coefficients, lps.measures, strict=True)]
+    numerators, den = _over_one_denominator(coeffs)
     levels = tuple(zip(numerators, (m.mass for m in lps.measures)))
     return NonstdMeasure(lps.algebra, tuple(
         NonstdNumber._make(_combination([(c, mass[a]) for c, mass in levels if mass[a]]), den)
         for a in range(lps.algebra.n_atoms)
     ))
-
-
-def _compose(lps: LPS, coefficients) -> NonstdMeasure:
-    """The weighted sum ``sum(coefficients[i] * lps[i])``, atom by atom
-    (ValueError when the lengths differ)."""
-    coeffs = [NonstdNumber.coerce(c) for c, _ in zip(coefficients, lps.measures, strict=True)]
-    return _weighted_sum(lps, *_over_one_denominator(coeffs))
 
 
 def lps_to_nps(lps: LPS) -> NonstdMeasure:
@@ -328,8 +324,17 @@ def nps_equiv(a: NonstdMeasure, b: NonstdMeasure, relation: str):
 def verify_aeqchar(lps: LPS, coefficients) -> bool:
     """Check that a coefficient schedule equivalently embeds a system.
 
-    True iff the coefficients are positive, sum to one, consecutive ratios
-    are infinitesimal, and the weighted sum is equivalent to the system.
+    True iff the coefficients are positive, sum to one and fall infinitely
+    fast (each order strictly above the one before).  The weighted sum
+    ``nu = sum(c_i * lps[i])`` then orders every pair of random variables
+    as the system does, so that is not re-checked.  For x and y let d_i be
+    the difference of their expectations under level i, so that
+    ``E_nu(x) - E_nu(y) = sum(c_i * d_i)``.  If every d_i is zero, so is
+    the sum.  Otherwise let k be the first level with d_k nonzero; the sum
+    is ``c_k * (d_k + sum(c_i / c_k * d_i for i > k))``, each c_i / c_k with
+    i > k is infinitesimal and each d_i standard, so the bracket, and the
+    sum with it, has the sign of d_k.  This is the paper's embedding of a
+    finite lexicographic system as an equivalent infinitesimal measure.
     """
     coeffs = tuple(NonstdNumber.coerce(c) for c in coefficients)
     if len(coeffs) != len(lps):
@@ -341,11 +346,8 @@ def verify_aeqchar(lps: LPS, coefficients) -> bool:
     numerators, den = _over_one_denominator(coeffs)
     if sum(numerators, _P_ZERO) != den:
         return False
-    for early, late in zip(coeffs, coeffs[1:]):
-        # Both are positive, so late / early is infinitesimal iff its order is.
-        if late.order() <= early.order():
-            return False
-    return equivalence(nps_to_lps(_weighted_sum(lps, numerators, den)).lps, lps).equivalent
+    # All are positive, so late / early is infinitesimal iff its order is.
+    return all(late.order() > early.order() for early, late in zip(coeffs, coeffs[1:]))
 
 
 def geometric_schedule(length: int) -> tuple:

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 from oracles import compose_by_numbers as compose
 
-from extprob.field import EPS, ONE, ZERO
+from extprob.field import EPS, ONE, ZERO, eps_power
 from extprob.fincof import FinCofEvent
 from extprob.lps import LPS, reduce_lps
 from extprob.npsbridge import geometric_schedule, lps_to_nps, nps_to_lps, steep_schedule
@@ -185,6 +185,52 @@ def aeq_pair(rng, max_atoms=6, max_len=5):
         return nps_to_lps(lps_to_nps(s)).lps if rng.random() < 0.2 else s
 
     return maybe_round_trip(a), maybe_round_trip(b)
+
+
+def _with_head(tail):
+    """``tail`` led by the coefficient that brings the sum to one."""
+    return (ONE - sum(tail, ZERO),) + tuple(tail)
+
+
+def _rising_tail(rng, length, rise=True):
+    """Positive coefficients at orders 1, 2, ... (strictly rising), each a
+    random weight times a power of eps, some tilted by 1 / (1 + eps); with
+    ``rise`` false, one order repeats its predecessor's."""
+    orders = list(range(1, length))
+    if not rise:
+        i = rng.randrange(1, length - 1)
+        orders[i] = orders[i - 1]
+    tail = []
+    for o in orders:
+        c = F(rng.randint(1, 5), rng.randint(1, 3)) * eps_power(o)
+        tail.append(c / (ONE + EPS) if rng.random() < 0.25 else c)
+    return tail
+
+
+def aeqchar_schedules(rng, length):
+    """Coefficient schedules for a system of ``length`` levels, each
+    verdict of the embedding check well represented: the geometric
+    and steep schedules, a random rising one, the geometric one reversed,
+    the geometric one scaled so that it does not sum to one, one with two
+    equal orders, one with a zero coefficient and one with a negative one."""
+    geometric = geometric_schedule(length)
+    scale = F(rng.choice((1, 2, 3, 5)), 4)
+    out = [
+        geometric,
+        steep_schedule(length),
+        geometric[::-1],
+        tuple(scale * c for c in geometric),
+    ]
+    if length == 1:
+        return out + [(ZERO,), (-ONE,)]
+    tail = _rising_tail(rng, length)
+    out.append(_with_head(tail))
+    if length > 2:
+        out.append(_with_head(_rising_tail(rng, length, rise=False)))
+    i = rng.randrange(len(tail))
+    for bad in (ZERO, -tail[i]):
+        out.append(_with_head(tail[:i] + [bad] + tail[i + 1:]))
+    return out
 
 
 def random_forest(rng, algebra, max_depth=3):

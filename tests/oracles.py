@@ -10,11 +10,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from extprob import _linalg
-from extprob.errors import UnlimitedError
+from extprob.errors import LengthMismatchError, UnlimitedError
 from extprob.jsonio import RATIONAL_MAX_DIGITS, ParseError
 from extprob.field import ONE, ZERO, NonstdNumber, st_ratio
-from extprob.lps import LPS, EquivCertificate, _restrict, _split_witness
-from extprob.npsbridge import Decomposition
+from extprob.lps import LPS, EquivCertificate, _restrict, _split_witness, equivalence
+from extprob.npsbridge import Decomposition, nps_to_lps
 from extprob.popper import PopperSpace, _treelike_findings
 from extprob.spaces import NonstdMeasure, StdMeasure, algebra_findings, subsets
 
@@ -205,6 +205,21 @@ def compose_by_numbers(lps, coefficients):
         for a in range(lps.algebra.n_atoms)
     )
     return NonstdMeasure(lps.algebra, masses)
+
+
+def verify_aeqchar_by_equivalence(lps, coefficients):
+    """``npsbridge.verify_aeqchar`` re-proving the embedding: after the
+    schedule checks (positive, summing to one, orders strictly rising),
+    the weighted sum is decomposed and its layers are decided equivalent
+    to the system."""
+    coeffs = tuple(NonstdNumber.coerce(c) for c in coefficients)
+    if len(coeffs) != len(lps):
+        raise LengthMismatchError(f"{len(coeffs)} coefficients for {len(lps)} measures")
+    if any(c.sign() <= 0 for c in coeffs) or sum(coeffs, ZERO) != ONE:
+        return False
+    if any(late.order() <= early.order() for early, late in zip(coeffs, coeffs[1:])):
+        return False
+    return equivalence(nps_to_lps(compose_by_numbers(lps, coeffs)).lps, lps).equivalent
 
 
 def standard_layers_by_st_ratio(nu):

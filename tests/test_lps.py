@@ -1,6 +1,7 @@
 """Lexicographic systems: conditioning, comparison, classification,
 reduction, and the equivalence decision procedure."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from oracles import (
 )
 
 from extprob import _linalg, jsonio
+from extprob import lps as lps_module
 from extprob._linalg import nullspace_basis, solve_combination
 from extprob.errors import AlgebraMismatchError, ZeroConditioningError
 from extprob.lps import (
@@ -23,7 +25,6 @@ from extprob.lps import (
     GT,
     LT,
     LPS,
-    EquivCertificate,
     _matrix_rebuilds,
     _triangular_coeffs,
     equivalence,
@@ -307,10 +308,11 @@ class TestAgainstSearchOracle:
 
     def test_verify_rejects_tampered_matrices(self):
         """The integer-row matrix check against the Fraction sums, on the
-        matrices of equivalent ``aeq_pair`` draws and on copies with one
-        entry moved by 1/7, a nonzero entry above the diagonal, a negated
-        diagonal entry or the last row dropped: the genuine ones verify,
-        no tampered one does."""
+        forward and backward matrices of equivalent ``aeq_pair`` draws and
+        on copies with one entry moved by 1/7, a nonzero entry above the
+        diagonal, a negated diagonal entry, the last row dropped, one row
+        cut short (ragged) or no matrix at all: the genuine ones verify, no
+        tampered one does, and ``verify`` returns False without raising."""
         rng = random.Random(83)
         tampered = 0
         for _ in range(600):
@@ -319,23 +321,53 @@ class TestAgainstSearchOracle:
             if not cert.equivalent:
                 continue
             ra, rb = reduce_lps(a), reduce_lps(b)
-            m = cert.forward_matrix
-            i = rng.randrange(len(m))
-            j = rng.randrange(i + 1)
-            variants = [changed(m, i, j, m[i][j] + F(1, 7)), changed(m, i, i, -m[i][i]), m[:-1]]
-            if i:
-                variants.append(changed(m, i - 1, i, F(1, 7)))
-            assert _matrix_rebuilds(m, ra, rb)
-            assert matrix_rebuilds_by_fractions(m, ra, rb)
-            for bad in variants:
-                assert not _matrix_rebuilds(bad, ra, rb)
-                assert not matrix_rebuilds_by_fractions(bad, ra, rb)
-                forged = EquivCertificate(
-                    "equivalent", a, b, forward_matrix=bad, backward_matrix=cert.backward_matrix
-                )
-                assert not forged.verify()
-                tampered += 1
-        assert tampered >= 600
+            for m, src, dst, field in (
+                (cert.forward_matrix, ra, rb, "forward_matrix"),
+                (cert.backward_matrix, rb, ra, "backward_matrix"),
+            ):
+                i = rng.randrange(len(m))
+                j = rng.randrange(i + 1)
+                variants = [
+                    changed(m, i, j, m[i][j] + F(1, 7)),
+                    changed(m, i, i, -m[i][i]),
+                    m[:-1],
+                    m[:i] + (m[i][:-1],) + m[i + 1:],
+                    None,
+                ]
+                if i:
+                    variants.append(changed(m, i - 1, i, F(1, 7)))
+                assert _matrix_rebuilds(m, src, dst)
+                assert matrix_rebuilds_by_fractions(m, src, dst)
+                for bad in variants:
+                    assert not _matrix_rebuilds(bad, src, dst)
+                    assert not matrix_rebuilds_by_fractions(bad, src, dst)
+                    forged = dataclasses.replace(cert, **{field: bad})
+                    assert not forged.verify()
+                    tampered += 1
+        assert tampered >= 1800
+
+    def test_two_reductions_per_call(self, monkeypatch):
+        """``equivalence`` reduces each system once and checks its
+        certificate against those reductions; only the public ``verify``
+        reduces again."""
+        calls = []
+
+        def counted(system):
+            calls.append(len(system))
+            return reduce_lps(system)
+
+        monkeypatch.setattr(lps_module, "reduce_lps", counted)
+        a = lps(ABC, (1, 0, 0), (0, 1, 0), (0, 0, 1))
+        b = lps(ABC, (1, 0, 0), (0, 0, 1), (0, 1, 0))
+        doubled = LPS(AB, MCGEE.measures * 2)
+        for x, y, verdict in ((a, b, False), (a, a, True), (MCGEE, doubled, True)):
+            calls.clear()
+            cert = equivalence(x, y)
+            assert cert.equivalent is verdict
+            assert calls == [len(x), len(y)]
+        calls.clear()
+        assert cert.verify()
+        assert calls == [len(MCGEE), len(doubled)]
 
     def test_one_nullspace_basis_per_inequivalent_call(self, monkeypatch):
         calls = []

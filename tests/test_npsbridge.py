@@ -6,7 +6,15 @@ from fractions import Fraction
 
 import pytest
 
-from genspaces import algebra_of, compose, covering_slps, random_lps, simeq_pair, tilted_apart
+from genspaces import (
+    aeqchar_schedules,
+    algebra_of,
+    compose,
+    covering_slps,
+    random_lps,
+    simeq_pair,
+    tilted_apart,
+)
 from oracles import (
     compose_by_numbers,
     nps_to_lps_by_numbers,
@@ -16,11 +24,13 @@ from oracles import (
     simeq_by_pair_sums,
     standard_layers,
     standard_layers_by_st_ratio,
+    verify_aeqchar_by_equivalence,
 )
 
 from extprob.errors import AlgebraMismatchError, LengthMismatchError, SizeLimitError
 from extprob.field import EPS, NonstdNumber, ONE, ZERO
-from extprob.lps import LPS, equivalence
+from extprob import npsbridge
+from extprob.lps import LPS, equivalence, reduce_lps
 from extprob.npsbridge import (
     Decomposition,
     _compose,
@@ -375,6 +385,40 @@ class TestVerifyAeqchar:
 
     def test_sum_must_be_one(self):
         assert not verify_aeqchar(MCGEE_LPS, (ONE - EPS, 2 * EPS))
+
+    def test_matches_reproving_oracle(self):
+        """The schedule checks alone against the checks followed by the
+        equivalence of the weighted sum's decomposition with the system,
+        on seeded systems with dependent levels and their reductions, under
+        geometric, steep, random rising, reversed, scaled, equal-order,
+        zero and negative schedules."""
+        rng = random.Random(1609)
+        verdicts = {True: 0, False: 0}
+        for _ in range(250):
+            n = rng.randint(1, 5)
+            system = random_lps(rng, algebra_of(n), max_len=n + 2)
+            for s in (system, reduce_lps(system)):
+                for schedule in aeqchar_schedules(rng, len(s)):
+                    verdict = verify_aeqchar(s, schedule)
+                    assert verdict == verify_aeqchar_by_equivalence(s, schedule)
+                    verdicts[verdict] += 1
+        assert min(verdicts.values()) >= 1000, verdicts
+
+    def test_float_masses_accepted(self):
+        """A system built directly with ``float`` masses (no reader builds
+        one) is judged by its schedule alone, as the embedding argument
+        holds for real masses too; no exact arithmetic touches the masses."""
+        system = LPS(AB, (StdMeasure(AB, (0.5, 0.5)), StdMeasure(AB, (1.0, 0.0))))
+        assert verify_aeqchar(system, geometric_schedule(2))
+        assert not verify_aeqchar(system, geometric_schedule(2)[::-1])
+
+    def test_no_decomposition_or_equivalence(self, monkeypatch):
+        calls = []
+        for name in ("equivalence", "nps_to_lps"):
+            monkeypatch.setattr(npsbridge, name, lambda *args, name=name: calls.append(name))
+        assert verify_aeqchar(MCGEE_LPS, steep_schedule(2))
+        assert not verify_aeqchar(MCGEE_LPS, geometric_schedule(2)[::-1])
+        assert calls == []
 
 
 class TestCompositionLaw:
