@@ -45,7 +45,7 @@ from .belief import LPS_KINDS, NPS_KINDS, POPPER_KINDS, believes
 from .errors import ExtprobError, SizeLimitError
 from .fixtures import FIXTURES, run_fixture
 from .independence import approx_indep_set, indep_events, verify_indep_witness, weak_indep
-from .lps import LPS, equivalence, reduce_lps
+from .lps import LPS, certified_reduction, equivalence
 from .npsbridge import nps_equiv, nps_to_lps, nps_to_popper, lps_to_nps
 from .popper import popper_to_slps, slps_to_popper, treelike_to_lps
 from .spaces import validate_space
@@ -300,8 +300,7 @@ def cmd_believe(args):
 def cmd_reduce(args):
     _, system = _load(args.infile, ("lps",))
     _check_measure(args.infile, system)
-    reduced = reduce_lps(system)
-    cert = equivalence(system, reduced)
+    reduced, cert = certified_reduction(system)
     lines = [
         f"length: {len(system)} -> {len(reduced)}",
         f"certified: {cert.verdict}",

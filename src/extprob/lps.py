@@ -198,13 +198,13 @@ def _matrix_rebuilds(matrix, src: LPS, dst: LPS) -> bool:
     """
     if matrix is None or len(matrix) != len(dst) or len(src) != len(dst):
         return False
-    src_rows = [_linalg.scaled_row(m.mass) for m in src.measures]
+    src_rows = [m.int_row for m in src.measures]
     for i, row in enumerate(matrix):
         if len(row) != len(dst):
             return False
         if row[i] <= 0 or any(row[j] != 0 for j in range(i + 1, len(row))):
             return False
-        target, t_den = _linalg.scaled_row(dst.measures[i].mass)
+        target, t_den = dst.measures[i].int_row
         dens = [row[j].denominator * src_rows[j][1] for j in range(i + 1)]
         den = math.lcm(t_den, *dens)
         weights = [row[j].numerator * (den // d) for j, d in enumerate(dens)]
@@ -314,7 +314,19 @@ def equivalence(a: LPS, b: LPS) -> EquivCertificate:
     """
     if a.algebra != b.algebra:
         raise AlgebraMismatchError("systems live on different algebras")
-    ra, rb = reduce_lps(a), reduce_lps(b)
+    return _decide(a, b, reduce_lps(a), reduce_lps(b))
+
+
+def certified_reduction(lps: LPS):
+    """``(reduce_lps(lps), equivalence(lps, reduced))`` from one
+    reduction: the reduced system's levels are independent, so it is its
+    own reduction."""
+    reduced = reduce_lps(lps)
+    return reduced, _decide(lps, reduced, reduced, reduced)
+
+
+def _decide(a: LPS, b: LPS, ra: LPS, rb: LPS) -> EquivCertificate:
+    """:func:`equivalence` of ``a`` and ``b``, given their reductions."""
     rows_a = [m.mass for m in ra.measures]
     rows_b = [m.mass for m in rb.measures]
     forward, level = _triangular_coeffs(rows_a, rows_b)

@@ -193,7 +193,7 @@ def nps_to_lps(nu: NonstdMeasure) -> Decomposition:
     numerators, den = _over_one_denominator(nu.mass)
     layers, scales = _peel(numerators, den, nu.algebra.n_atoms)
     cushion, cushion_den = layers[0]
-    measures = [StdMeasure(nu.algebra, tuple(Fraction(x, cushion_den) for x in cushion))]
+    measures = [StdMeasure.from_int_row(nu.algebra, tuple(cushion), cushion_den)]
     coeffs = [scales[0]]
     for (row, d), scale in zip(layers[1:], scales[1:]):
         # Repair negative entries with earlier layers, then renormalize.
@@ -210,7 +210,7 @@ def nps_to_lps(nu: NonstdMeasure) -> Decomposition:
         total = Fraction(t, d)
         if not t:
             Fraction(row[0], d) / total  # raises ZeroDivisionError
-        measures.append(StdMeasure(nu.algebra, tuple(Fraction(x, t) for x in row)))
+        measures.append(StdMeasure.from_int_row(nu.algebra, tuple(row), t))
         cushion = [c * t + x * cushion_den for c, x in zip(cushion, row)]
         cushion_den *= t
         g = math.gcd(cushion_den, *cushion)

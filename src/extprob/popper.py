@@ -30,12 +30,14 @@ and order of the exhaustive check:
   induction on |u - x| through y = x | {a}: mu(v|u) = mu(v|y) * mu(y|u)
   = mu(v|x) * mu(x|y) * mu(y|u) = mu(v|x) * mu(x|u).
 
-The shortcuts and the forward map run on integer rows: each row is
-scaled once to integers over the least common denominator of its masses.
-A row passes its invariants and CP1 when its integers are nonnegative and
-sum to the denominator both over the space and over its event; the chain
-rule compares integer products; the forward map divides an atom's integer
-by the event's integer sum.  ``Fraction`` arithmetic is used only to word
+The shortcuts and the forward map run on integer rows: each row's
+``StdMeasure.int_row``, its masses as integers over one denominator,
+which the measure makes on first use and keeps (the forward map builds
+each conditional from integers and hands it that row).  A row passes its
+invariants and CP1 when its integers are nonnegative and sum to the
+denominator both over the space and over its event; the chain rule
+compares integer products; the forward map divides an atom's integer by
+the event's integer sum.  ``Fraction`` arithmetic is used only to word
 the findings of a row that failed.  When some mass is not a rational,
 every row is checked on its masses, and the findings name each such mass.
 
@@ -50,7 +52,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from ._linalg import scaled_row
 from .errors import (
     InvalidPopperSpaceError,
     NotAnSlpsError,
@@ -168,20 +169,10 @@ def _cp_findings(space: PopperSpace, rows):
     return out
 
 
-def _scaled(mass):
-    """``(integers, den)`` with ``integers[a] / den == mass[a]`` over the
-    least common denominator, or None when a mass has no denominator (it
-    is not a rational)."""
-    try:
-        return scaled_row(mass)
-    except AttributeError:
-        return None
-
-
 def _integer_rows(space: PopperSpace):
-    """Each stored row scaled by :func:`_scaled`, or None when a mass is
+    """Each stored row's ``StdMeasure.int_row``, or None when a mass is
     not a rational."""
-    out = {u: _scaled(row.mass) for u, row in space.table.items()}
+    out = {u: row.int_row for u, row in space.table.items()}
     return None if None in out.values() else out
 
 
@@ -321,23 +312,23 @@ def slps_to_popper(slps: LPS) -> PopperSpace:
     if not classify_lps(slps).is_slps:
         raise NotAnSlpsError("input system is not structured")
     n = slps.algebra.n_atoms
-    levels = [(m, _scaled(m.mass)) for m in slps.measures]
-    zero = Fraction(0)
     table = {}
     for ev in slps.algebra.events():
-        for m, scaled in levels:
-            if scaled is None:
+        for m in slps.measures:
+            row = m.int_row
+            if row is None:
                 if m.event_mass(ev) > 0:
                     table[ev] = m.condition(ev)
                     break
                 continue
-            masses = scaled[0]
+            masses = row[0]
             total = sum(masses[a] for a in ev)
             if total > 0:
-                # mass[a] / mass(ev) is masses[a] / total: the denominators cancel.
-                table[ev] = StdMeasure(slps.algebra, tuple(
-                    Fraction(masses[a], total) if a in ev else zero for a in range(n)
-                ))
+                # mass[a] / mass(ev) is masses[a] / total: the denominators
+                # cancel, and the conditional's integer row is in hand.
+                table[ev] = StdMeasure.from_int_row(slps.algebra, tuple(
+                    masses[a] if a in ev else 0 for a in range(n)
+                ), total)
                 break
     return PopperSpace(slps.algebra, tuple(table), table)
 

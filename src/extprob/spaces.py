@@ -4,16 +4,23 @@ A :class:`SpaceAlgebra` is given by its atom partition; every event of the
 algebra is a union of atoms and is represented as a frozenset of atom
 indices.  Measures assign exact masses to atoms: rationals for
 :class:`StdMeasure`, field elements for :class:`NonstdMeasure`.  Values are
-immutable and operations are pure; the one piece of state is each
-measure's memo of the event masses asked of it, which saves work but
-never changes a result.
+immutable and operations are pure; the only state is what a value caches
+about itself, which saves work but never changes a result: each
+measure's memo of the event masses asked of it, and the integer row
+``(ints, den)`` of a rational measure or random variable, made on first
+use.  A standard measure checks its invariants, sums events and takes
+expectations on that row, one ``Fraction`` per result; a row with a mass
+that is not an ``int`` or a ``Fraction`` has no integer row and keeps the
+``Fraction`` sums.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
+from ._linalg import scaled_row
 from .errors import AlgebraMismatchError, SizeLimitError, ZeroConditioningError
 from .field import NonstdNumber, ONE, ZERO
 
@@ -112,18 +119,30 @@ class ValidationReport:
         return ["ok"] if self.is_valid else [f"violation: {f}" for f in self.findings]
 
 
+def _int_row(values):
+    """``(ints, den)`` with ``ints[a] / den == values[a]``, or None when
+    some value is not an ``int`` or a ``Fraction``."""
+    if all(isinstance(x, (int, Fraction)) for x in values):
+        ints, den = scaled_row(values)
+        return tuple(ints), den
+    return None
+
+
 @dataclass(frozen=True)
 class _MeasureBase:
     """Atom masses on an algebra, with a memo of event masses.
 
     ``_masses`` maps each event asked for to its mass.  It is filled on
     demand and never changes a result, so measures still compare and hash
-    by algebra and masses only.
+    by algebra and masses only.  ``int_row`` is None here: only a
+    :class:`StdMeasure` has one.
     """
 
     algebra: SpaceAlgebra
     mass: tuple
     _masses: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    int_row = None
 
     def event_mass(self, ev: Event):
         """Total mass of an event (zero element for the empty event).
@@ -133,12 +152,23 @@ class _MeasureBase:
         """
         value = self._masses.get(ev)
         if value is None:
-            value = self._masses[ev] = sum((self.mass[i] for i in ev), start=self._zero)
+            row = self.int_row
+            if row is None:
+                value = sum((self.mass[i] for i in ev), start=self._zero)
+            else:
+                ints, den = row
+                value = Fraction(sum(ints[i] for i in ev), den)
+            self._masses[ev] = value
         return value
 
     def expectation(self, rv: "RandomVariable"):
         if rv.algebra != self.algebra:
             raise AlgebraMismatchError("random variable on a different algebra")
+        row, rv_row = self.int_row, rv.int_row
+        # Too few values raise IndexError on the Fraction route.
+        if row is not None and rv_row is not None and len(rv_row[0]) >= len(row[0]):
+            (ints, den), (vals, vden) = row, rv_row
+            return Fraction(sum(m * v for m, v in zip(ints, vals)), den * vden)
         return sum(
             (self.mass[i] * rv.values[i] for i in range(len(self.mass))),
             start=self._zero,
@@ -172,11 +202,44 @@ class StdMeasure(_MeasureBase):
         )
 
     @classmethod
+    def from_int_row(cls, algebra: SpaceAlgebra, ints: tuple, den: int) -> "StdMeasure":
+        """The measure with masses ``ints[a] / den`` for a tuple of ints and
+        a nonzero int, its integer row given."""
+        if den < 0:
+            ints, den = tuple(-x for x in ints), -den
+        zero = cls._zero
+        measure = cls(algebra, tuple(Fraction(x, den) if x else zero for x in ints))
+        measure.__dict__["int_row"] = (ints, den)
+        return measure
+
+    @classmethod
     def uniform(cls, algebra: SpaceAlgebra) -> "StdMeasure":
         n = algebra.n_atoms
         return cls(algebra, tuple(Fraction(1, n) for _ in range(n)))
 
+    @cached_property
+    def int_row(self):
+        """``(ints, den)`` with ``ints[a] / den == mass[a]`` and ``den > 0``,
+        or None when a mass is not an ``int`` or a ``Fraction``.  Made on
+        first use over the least common denominator, unless the measure
+        was built by :meth:`from_int_row`."""
+        return _int_row(self.mass)
+
     def invariant_findings(self, where: str = "measure"):
+        """Findings of a row that is not a probability on the atoms.
+
+        A rational row of the right length is accepted on its integers:
+        none negative and summing to the denominator.  Any other row is
+        checked mass by mass to word its findings.
+        """
+        row = self.int_row
+        if row is not None and len(self.mass) == self.algebra.n_atoms:
+            ints, den = row
+            if sum(ints) == den and min(ints) >= 0:
+                return []
+        return self._findings_on_masses(where)
+
+    def _findings_on_masses(self, where):
         out = []
         if len(self.mass) != self.algebra.n_atoms:
             out.append(f"{where}: {len(self.mass)} masses for {self.algebra.n_atoms} atoms")
@@ -240,6 +303,12 @@ class RandomVariable:
 
     algebra: SpaceAlgebra
     values: tuple
+
+    @cached_property
+    def int_row(self):
+        """``(ints, den)`` with ``ints[a] / den == values[a]``, or None when
+        a value is not an ``int`` or a ``Fraction``; made on first use."""
+        return _int_row(self.values)
 
     @classmethod
     def from_values(cls, algebra: SpaceAlgebra, values) -> "RandomVariable":

@@ -350,3 +350,62 @@ def nested_triples(universe):
                 triples.append((ev("finite", v_sup), x, u))
                 triples.append((ev("cofinite", u_sup | extra | v_sup), x, u))
     return triples
+
+
+def _several_denominators(rng, n):
+    """A row summing to one whose masses have unrelated denominators, so
+    that their common denominator is in general none of theirs."""
+    masses = [F(rng.randint(0, 3), rng.randint(2, 12)) for _ in range(n)]
+    masses[rng.randrange(n)] += 1 - sum(masses)
+    return masses
+
+
+def mass_row(rng, n):
+    """``(valid, row)``: masses for ``n`` atoms, a valid rational measure
+    a little under half of the time.  Valid rows are `Fraction` rows with
+    zeros, rows over several denominators (one entry may come out
+    negative, and then the row is invalid), `int` one-hot rows and rows
+    mixing `int` zeros with `Fraction`s.  The rest are `float` rows of
+    dyadic masses (never valid: a mass must be an `int` or a `Fraction`),
+    or have a negative entry, do not sum to one (`Fraction`, `int` or
+    `float`), are all zero, or have one mass too few or too many."""
+    kind = rng.randrange(10)
+    if kind == 0:
+        row = list(random_row(rng, n))
+    elif kind == 1:
+        row = _several_denominators(rng, n)
+    elif kind == 2:
+        row = [0] * n
+        row[rng.randrange(n)] = 1
+    elif kind == 3:
+        row = [m if m else 0 for m in random_row(rng, n)]
+    elif kind == 4:
+        row = [0.0] * n
+        row[rng.randrange(n)] += 0.5
+        row[rng.randrange(n)] += 0.5
+    elif kind == 5:
+        row = list(random_row(rng, n))
+        i, j = rng.randrange(n), rng.randrange(n)
+        shift = F(rng.randint(1, 3), 2)
+        row[i] -= shift
+        row[j] += shift
+    elif kind == 6:
+        scale = rng.choice((F(1, 2), F(3, 4), F(5, 4), F(2), F(-1)))
+        row = [scale * m for m in random_row(rng, n)]
+        if rng.random() < 0.3:
+            row = [int(m * 4) for m in row]
+        elif rng.random() < 0.3:
+            row = [float(m) for m in row]
+    elif kind == 7:
+        row = rng.choice(([F(0)] * n, [0] * n, [0.0] * n))
+    elif kind == 8:
+        row = list(random_row(rng, n + 1))
+    else:
+        row = list(random_row(rng, n))[:-1]
+    valid = (
+        len(row) == n
+        and all(type(m) in (int, F) for m in row)
+        and sum(row) == 1
+        and min(row) >= 0
+    )
+    return valid, tuple(row)

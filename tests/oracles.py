@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from extprob import _linalg
-from extprob.errors import LengthMismatchError, UnlimitedError
+from extprob.errors import AlgebraMismatchError, LengthMismatchError, UnlimitedError
 from extprob.jsonio import RATIONAL_MAX_DIGITS, ParseError
 from extprob.field import ONE, ZERO, NonstdNumber, st_ratio
 from extprob.lps import LPS, EquivCertificate, _restrict, _split_witness, equivalence
@@ -714,3 +714,40 @@ class FractionNumber:
 def fraction_st_ratio(a, b):
     """Standard part of the exact quotient."""
     return (a / b).standard_part()
+
+
+def invariant_findings_by_fractions(measure, where="measure"):
+    """``StdMeasure.invariant_findings`` mass by mass: each mass compared
+    with zero and the masses summed as ``Fraction``s."""
+    out = []
+    if len(measure.mass) != measure.algebra.n_atoms:
+        out.append(f"{where}: {len(measure.mass)} masses for {measure.algebra.n_atoms} atoms")
+        return out
+    for i, m in enumerate(measure.mass):
+        if m < 0:
+            out.append(f"{where}: negative mass {m} at atom {i}")
+    total = sum(measure.mass, start=Fraction(0))
+    if not isinstance(total, Fraction):
+        return out + [
+            f"{where}: mass {m!r} at atom {i} is neither int nor Fraction"
+            for i, m in enumerate(measure.mass)
+            if not isinstance(m, (int, Fraction))
+        ]
+    if total != 1:
+        out.append(f"{where}: masses sum to {total}, not 1")
+    return out
+
+
+def event_mass_by_fractions(measure, ev):
+    """The mass of ``ev`` under a ``StdMeasure``, summed as ``Fraction``s."""
+    return sum((measure.mass[i] for i in ev), start=Fraction(0))
+
+
+def expectation_by_fractions(measure, rv):
+    """E(rv) under a ``StdMeasure``, summed as ``Fraction``s."""
+    if rv.algebra != measure.algebra:
+        raise AlgebraMismatchError("random variable on a different algebra")
+    return sum(
+        (measure.mass[i] * rv.values[i] for i in range(len(measure.mass))),
+        start=Fraction(0),
+    )

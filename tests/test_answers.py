@@ -13,26 +13,61 @@ is a regression.  The families:
   measures and ``tilted_apart`` copies;
 - ``cli``: exit code and stdout of ``cli.main`` for ``compare --relation
   aeq`` and ``reduce`` on ``aeq_pair`` documents, and ``fixtures run`` on
-  every fixture.
+  every fixture;
+- ``findings``: ``validate_space`` findings of single measures and of
+  systems on ``mass_row`` rows (valid and invalid, `int`, `Fraction` and
+  `float`), and ``validate_popper`` findings at all three levels of
+  forward-map images, treelike spaces and damaged copies of both;
+- ``expectations``: expectations, event masses and ``believe`` verdicts
+  (or exception names and messages) of measures, systems, conditional
+  spaces and infinitesimal measures;
+- ``popper_images``: ``jsonio.dumps`` of ``slps_to_popper`` on structured
+  systems, and the exception of a system that is not;
+- ``cli_light``: exit code and stdout of ``cli.main`` for ``validate``
+  (measures, systems, and tables at each level), ``expect``, ``believe``
+  and ``convert --from lps --to popper``;
+- ``help``: ``--help`` of ``extprob`` and of each command, 80 columns wide.
 """
 
 import contextlib
 import hashlib
 import io
 import random
+from fractions import Fraction
 
-from genspaces import aeq_pair, aeqchar_schedules, algebra_of, random_lps, simeq_pair, tilted_apart
+import pytest
+from genspaces import (
+    aeq_pair,
+    aeqchar_schedules,
+    algebra_of,
+    compose,
+    covering_slps,
+    mass_row,
+    random_lps,
+    random_slps,
+    random_treelike_space,
+    simeq_pair,
+    tilted_apart,
+)
 
 from extprob import cli, jsonio
+from extprob.belief import LPS_KINDS, NPS_KINDS, POPPER_KINDS, believes
 from extprob.fixtures import FIXTURES
-from extprob.lps import equivalence
-from extprob.npsbridge import lps_to_nps, nps_to_lps, verify_aeqchar
+from extprob.lps import LPS, equivalence
+from extprob.npsbridge import geometric_schedule, lps_to_nps, nps_to_lps, verify_aeqchar
+from extprob.popper import PopperSpace, slps_to_popper, validate_popper
+from extprob.spaces import RandomVariable, StdMeasure, validate_space
 
 DIGESTS = {
     "certificates": "d2e95ed0b3e61d61e56e2996c8d0c2bd87d79f96f857b210321b8a21652e2466",
     "aeqchar": "a82fd4a73371ffa40379f5fe6c4fe1be0615dcff19addf8a68a337ad3c20d1db",
     "decompositions": "7ec0183240cd451c04c78df6024f5d86ff3037e4f5ae7c29f7bed826cc5daf00",
     "cli": "605352b57fdcc812a5ee003ce7c85d0ec1be8aac87f453921a6cb38f1a8e50a9",
+    "findings": "d52794e7f4c137b077f9a329220c53ec13965fa0d67a558377deee12faa68896",
+    "expectations": "e7153b2590d0806664e674f34b88432fe5168b1f5a63999af55cb2e2d707b28c",
+    "popper_images": "ef29a14ff1900f9b03f145c60644f623d0a15a9de71ffe579869d983b50bf1e9",
+    "cli_light": "1d7ff652d9635c36ad4e78db428efa77660138f448f8e52ce7db76ee85c0d99a",
+    "help": "ce7be4bfe1dcf2b5fa48d0b8de195bc86f13be2307e80190ddf70fd72557279c",
 }
 
 
@@ -103,6 +138,174 @@ def cli_outputs(tmp_path):
     assert min(codes.values()) >= 20, codes
 
 
+def outcome(call, *args):
+    """``str`` of the result, or the exception's name and message."""
+    try:
+        return str(call(*args))
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def random_event(rng, n):
+    return frozenset(rng.sample(range(n), rng.randint(1, n)))
+
+
+def damaged(rng, space):
+    """``space`` with one defect: mass moved between two atoms of a row, a
+    row halved, an event dropped from the family and the table, or a row
+    dropped from the table only."""
+    table = dict(space.table)
+    events = list(space.conditioning_events)
+    u = rng.choice(events)
+    kind = rng.randrange(4)
+    if kind == 0:
+        mass = list(table[u].mass)
+        shift = Fraction(1, 7)
+        mass[rng.randrange(len(mass))] -= shift
+        mass[rng.randrange(len(mass))] += shift
+        table[u] = StdMeasure(space.algebra, tuple(mass))
+    elif kind == 1:
+        table[u] = StdMeasure(space.algebra, tuple(m / 2 for m in table[u].mass))
+    else:
+        del table[u]
+        if kind == 2:
+            events.remove(u)
+    return PopperSpace(space.algebra, tuple(events), table)
+
+
+def random_popper(rng, algebra):
+    """A forward-map image or a treelike space, damaged half of the time."""
+    if rng.random() < 0.5:
+        space = slps_to_popper(rng.choice((random_slps, covering_slps))(rng, algebra))
+    else:
+        space = random_treelike_space(rng, algebra)
+    return damaged(rng, space) if rng.random() < 0.5 else space
+
+
+def findings():
+    rng = random.Random(1705)
+    rows = {True: 0, False: 0}
+    tables = {True: 0, False: 0}
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        algebra = algebra_of(n)
+        valid, row = mass_row(rng, n)
+        rows[valid] += 1
+        yield repr(validate_space(algebra, [StdMeasure(algebra, row)]).findings)
+        levels = [StdMeasure(algebra, mass_row(rng, n)[1]) for _ in range(rng.randint(1, 3))]
+        yield repr(validate_space(algebra, levels).findings)
+    for _ in range(150):
+        space = random_popper(rng, algebra_of(rng.randint(1, 4)))
+        for level in ("cps", "popper", "treelike"):
+            report = validate_popper(space, level)
+            tables[report.is_valid] += 1
+            yield repr(report.findings)
+    assert min(rows.values()) >= 150 and min(tables.values()) >= 100, (rows, tables)
+
+
+def expectations():
+    rng = random.Random(1706)
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        algebra = algebra_of(n)
+        measure = StdMeasure(algebra, mass_row(rng, n)[1])
+        values = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
+        draw = rng.random()
+        if draw < 0.2:
+            values = [int(v * 4) for v in values]
+        elif draw < 0.3:
+            values = [float(v) for v in values]
+        elif draw < 0.35:
+            values.append(Fraction(1))
+            algebra = algebra_of(n + 1)
+        x = RandomVariable(algebra, tuple(values))
+        ev = random_event(rng, n)
+        yield outcome(measure.expectation, x)
+        yield outcome(measure.event_mass, ev)
+        algebra = measure.algebra
+        system = random_lps(rng, algebra, max_len=3)
+        y = RandomVariable.from_values(algebra, [rng.randint(-3, 3) for _ in range(n)])
+        yield outcome(system.expectation_vector, y)
+        yield outcome(system.compare_expectations, y, RandomVariable.indicator(algebra, ev))
+        nu = compose(system, geometric_schedule(len(system)))
+        yield outcome(nu.expectation, y)
+        space = slps_to_popper(random_slps(rng, algebra))
+        for model, kinds in ((system, LPS_KINDS), (space, POPPER_KINDS), (nu, NPS_KINDS)):
+            for kind in kinds:
+                yield outcome(believes, model, ev, kind)
+
+
+def popper_images():
+    rng = random.Random(1707)
+    outcomes = {True: 0, False: 0}
+    for _ in range(200):
+        algebra = algebra_of(rng.randint(1, 5))
+        system = rng.choice((random_slps, covering_slps, random_lps, random_lps))(rng, algebra)
+        image = outcome(lambda: jsonio.dumps(slps_to_popper(system)))
+        outcomes[image.startswith("{")] += 1
+        yield image
+    assert min(outcomes.values()) >= 40, outcomes
+
+
+def cli_light(tmp_path):
+    rng = random.Random(1708)
+    codes = {0: 0, 1: 0, 3: 0}
+
+    def write(name, obj):
+        path = tmp_path / name
+        path.write_text(jsonio.dumps(obj))
+        return str(path)
+
+    def run(argv):
+        out = run_cli(argv)
+        codes[int(out[0])] += 1
+        return out
+
+    for k in range(40):
+        n = rng.randint(1, 5)
+        algebra = algebra_of(n)
+        measure = write(f"m{k}.json", StdMeasure(algebra, mass_row(rng, n)[1]))
+        levels = [StdMeasure(algebra, mass_row(rng, n)[1]) for _ in range(rng.randint(1, 2))]
+        system = write(f"s{k}.json", LPS(algebra, tuple(levels)))
+        table = random_popper(rng, algebra).table
+        # A document lists a row for each event, so a row dropped from the
+        # table drops its event too.
+        space = write(f"p{k}.json", PopperSpace(algebra, tuple(table), table))
+        rv = write(f"x{k}.json", RandomVariable.from_values(
+            algebra, [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)]
+        ))
+        good = write(f"g{k}.json", random_lps(rng, algebra, max_len=3))
+        slps = write(f"t{k}.json", rng.choice((random_slps, random_lps))(rng, algebra))
+        event = ",".join(str(a) for a in sorted(random_event(rng, n)))
+        yield run(["validate", "--in", measure])
+        yield run(["validate", "--in", system])
+        for level in ("cps", "popper", "treelike"):
+            yield run(["validate", "--in", space, "--level", level])
+        for model in (measure, system, good):
+            yield run(["expect", "--measure", model, "--rv", rv])
+        for kind in LPS_KINDS:
+            yield run(["believe", "--model", good, "--event", event, "--kind", kind])
+        for kind in POPPER_KINDS:
+            yield run(["believe", "--model", space, "--event", event, "--kind", kind])
+        yield run(["convert", "--from", "lps", "--to", "popper", "--in", slps])
+    assert min(codes.values()) >= 40, codes
+
+
+COMMANDS = (
+    [], ["validate"], ["convert"], ["compare"], ["expect"], ["indep"],
+    ["verify-witness"], ["believe"], ["reduce"], ["fixtures"],
+    ["fixtures", "list"], ["fixtures", "run"],
+)
+
+
+def help_texts():
+    for argv in COMMANDS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as stop:
+            cli.main(argv + ["--help"])
+        yield f"{stop.value.code}\n{out.getvalue()}"
+
+
 def test_certificates():
     assert sha256(certificates()) == DIGESTS["certificates"]
 
@@ -117,3 +320,25 @@ def test_decompositions():
 
 def test_cli_outputs(tmp_path):
     assert sha256(cli_outputs(tmp_path)) == DIGESTS["cli"]
+
+
+def test_findings():
+    assert sha256(findings()) == DIGESTS["findings"]
+
+
+def test_expectations_and_beliefs():
+    assert sha256(expectations()) == DIGESTS["expectations"]
+
+
+def test_popper_images():
+    assert sha256(popper_images()) == DIGESTS["popper_images"]
+
+
+def test_light_cli_outputs(tmp_path):
+    assert sha256(cli_light(tmp_path)) == DIGESTS["cli_light"]
+
+
+def test_help(monkeypatch):
+    # argparse wraps help to the terminal width; pin it.
+    monkeypatch.setenv("COLUMNS", "80")
+    assert sha256(help_texts()) == DIGESTS["help"]

@@ -10,9 +10,10 @@ import pytest
 from genspaces import algebra_of
 
 from extprob import cli, jsonio
+from extprob import lps as lps_module
 from extprob.cli import main
 from extprob.field import EPS, ONE
-from extprob.lps import LPS
+from extprob.lps import LPS, reduce_lps
 from extprob.npsbridge import lps_to_nps, nps_to_popper
 from extprob.popper import PopperSpace
 from extprob.spaces import EVENT_LIMIT, NonstdMeasure, RandomVariable, SpaceAlgebra, StdMeasure
@@ -169,6 +170,29 @@ class TestReduce:
         assert main(["reduce", "--in", path]) == 0
         out = capsys.readouterr().out
         assert "length: 3 -> 2" in out and "certified: equivalent" in out
+
+    def test_one_reduction_per_command(self, tmp_path, monkeypatch, capsys):
+        """The certificate is checked against the reduction the command
+        made, so the system is reduced once."""
+        calls = []
+
+        def counted(system):
+            calls.append(len(system))
+            return reduce_lps(system)
+
+        monkeypatch.setattr(lps_module, "reduce_lps", counted)
+        monkeypatch.setattr(cli, "reduce_lps", counted, raising=False)
+        system = LPS.from_rows(
+            AB, [(F(1, 2), F(1, 2)), (F(1, 2), F(1, 2)), (1, 0)]
+        )
+        out_path = tmp_path / "reduced.json"
+        path = write(tmp_path, "lps.json", system)
+        assert main(["reduce", "--in", path, "--out", str(out_path)]) == 0
+        assert calls == [3]
+        assert capsys.readouterr().out == (
+            f"length: 3 -> 2\ncertified: equivalent\nwrote {out_path}\n"
+        )
+        assert out_path.read_text() == jsonio.dumps(reduce_lps(system))
 
 
 class TestWitnessCommand:

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from genspaces import algebra_of, mass_row
+from oracles import event_mass_by_fractions, expectation_by_fractions, invariant_findings_by_fractions
 
 from extprob.errors import AlgebraMismatchError, ZeroConditioningError
 from extprob.field import EPS, NonstdNumber, ONE, ZERO
@@ -176,3 +178,62 @@ def test_events_in_lexicographic_order():
         frozenset(ev) for ev in [(), (0,), (0, 1), (0, 1, 2), (0, 2), (1,), (1, 2), (2,)]
     ]
     assert ABC.events() == ABC.events(include_empty=True)[1:]
+
+
+def _outcome(call, *args):
+    """The result with its type, or the exception's type and message."""
+    try:
+        value = call(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return type(value), value
+
+
+class TestAgainstFractionRoute:
+    """The integer row against the ``Fraction`` sums it replaced, on
+    seeded rows of every kind ``genspaces.mass_row`` draws."""
+
+    def test_findings_event_masses_and_expectations(self, monkeypatch):
+        fallbacks = []
+        on_masses = StdMeasure._findings_on_masses
+
+        def recorded(measure, where):
+            fallbacks.append(measure)
+            return on_masses(measure, where)
+
+        monkeypatch.setattr(StdMeasure, "_findings_on_masses", recorded)
+        rng = random.Random(1709)
+        rows = {True: 0, False: 0}
+        for k in range(1000):
+            n = rng.randint(1, 5)
+            algebra = algebra_of(n)
+            valid, row = mass_row(rng, n)
+            rows[valid] += 1
+            measure = StdMeasure(algebra, row)
+            fallbacks.clear()
+            where = f"measures[{k}]"
+            findings = measure.invariant_findings(where)
+            assert findings == invariant_findings_by_fractions(measure, where)
+            assert (findings == []) == valid
+            # A valid rational row is accepted on its integers alone.
+            assert bool(fallbacks) == (not valid)
+            for ev in algebra.events(include_empty=True) + [frozenset({n})]:
+                assert _outcome(measure.event_mass, ev) == _outcome(
+                    event_mass_by_fractions, measure, ev
+                )
+            values = [F(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(n)]
+            draw = rng.random()
+            if draw < 0.2:
+                values = [int(v * 60) for v in values]
+            elif draw < 0.3:
+                values = [float(v) for v in values]
+            elif draw < 0.4:
+                values = values[:-1]
+            elif draw < 0.5:
+                values.append(F(1))
+            on = algebra if rng.random() < 0.95 else algebra_of(n + 1)
+            x = RandomVariable(on, tuple(values))
+            assert _outcome(measure.expectation, x) == _outcome(
+                expectation_by_fractions, measure, x
+            )
+        assert min(rows.values()) >= 200, rows
