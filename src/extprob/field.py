@@ -100,7 +100,7 @@ class EpsPolynomial:
 
     @classmethod
     def from_pairs(cls, pairs) -> "EpsPolynomial":
-        terms = _norm_terms((int(e), Fraction(c)) for e, c in pairs)
+        terms = _norm_terms((int(e), c if type(c) is Fraction else Fraction(c)) for e, c in pairs)
         if terms and terms[0][0] < 0:
             raise ValueError("polynomial exponents must be nonnegative")
         # Over the lcm of the reduced denominators, no prime divides every

@@ -106,7 +106,10 @@ def approx_indep_set(nu: NonstdMeasure, x: RandomVariable, ys) -> bool:
     subsets of each variable in ys (one inside the compared event, one in
     the conditioning event).  Exponential in the range sizes, so it raises
     :class:`SizeLimitError` before checking more than
-    :data:`spaces.EVENT_LIMIT` event triples.
+    :data:`spaces.EVENT_LIMIT` event triples.  Each variable's subset
+    events, and their intersections over one choice of a subset per y,
+    are built once per call; the compared and the conditioning event
+    range over the same intersections.
     """
     ys = list(ys)
     for rv in [x] + ys:
@@ -119,16 +122,17 @@ def approx_indep_set(nu: NonstdMeasure, x: RandomVariable, ys) -> bool:
         2 ** len(x.range_values()) * 4 ** sum(len(r) for r in y_ranges),
         unit="event triples",
     )
+    y_events = [[y.preimage_event(vals) for vals in subsets(r)] for y, r in zip(ys, y_ranges)]
+    boxes = []
+    for choice in product(*y_events):
+        box = nu.algebra.full_event()
+        for ev in choice:
+            box &= ev
+        boxes.append(box)
     for u_values in subsets(x.range_values()):
         u_event = x.preimage_event(u_values)
-        for v_choice in product(*(subsets(r) for r in y_ranges)):
-            v_event = nu.algebra.full_event()
-            for y, vals in zip(ys, v_choice):
-                v_event &= y.preimage_event(vals)
-            for vp_choice in product(*(subsets(r) for r in y_ranges)):
-                given = nu.algebra.full_event()
-                for y, vals in zip(ys, vp_choice):
-                    given &= y.preimage_event(vals)
+        for v_event in boxes:
+            for given in boxes:
                 if not _approx_conditional_match(nu, u_event, v_event, given):
                     return False
     return True

@@ -5,6 +5,15 @@ lists, never floats, so files round-trip exactly.  Every document carries a
 format_version and a type tag; parse functions check structure (shapes,
 increasing exponents) but leave semantic validation (mass sums, axioms) to
 the callers that need it.
+
+Each parse of a document keeps one memo, local to that parse, from a
+rational string to its ``Fraction``: rows repeat a few numbers (``"0"``,
+``"1/2"``), so each distinct string is matched against the grammar and put
+in lowest terms once, and equal entries share one immutable value.  The
+memo takes ``str`` keys only: ``True``, ``1`` and ``1.0`` are equal as
+dict keys, but only ``1`` is a rational, so any other value is parsed
+every time.  A string that fails is never stored, so a document raises the
+error of the same entry as an entry-by-entry parse would.
 """
 
 from __future__ import annotations
@@ -66,6 +75,20 @@ def parse_rational(text) -> Fraction:
         raise ParseError(f"bad rational {text!r}: {exc}") from None
 
 
+def _parse_entry(text, memo: dict) -> Fraction:
+    """``parse_rational(text)``, once per distinct string in ``memo``."""
+    if type(text) is not str:
+        return parse_rational(text)
+    q = memo.get(text)
+    if q is None:
+        q = memo[text] = parse_rational(text)
+    return q
+
+
+def _parse_row(row, memo: dict) -> tuple:
+    return tuple(_parse_entry(x, memo) for x in row)
+
+
 def encode_nonstd(x: NonstdNumber) -> dict:
     return {
         "num": [[e, encode_rational(c)] for e, c in x.num.terms],
@@ -73,7 +96,7 @@ def encode_nonstd(x: NonstdNumber) -> dict:
     }
 
 
-def _parse_poly(pairs, where: str) -> EpsPolynomial:
+def _parse_poly(pairs, where: str, memo: dict) -> EpsPolynomial:
     if not isinstance(pairs, list):
         raise ParseError(f"{where}: expected a list of [exponent, coefficient] pairs")
     exps = []
@@ -87,17 +110,21 @@ def _parse_poly(pairs, where: str) -> EpsPolynomial:
         if e > EXPONENT_MAX:
             raise ParseError(f"{where}: exponent {e} is above EXPONENT_MAX = {EXPONENT_MAX}")
         exps.append(e)
-        terms.append((e, parse_rational(c)))
+        terms.append((e, _parse_entry(c, memo)))
     if exps != sorted(set(exps)):
         raise ParseError(f"{where}: exponents must be strictly increasing")
     return EpsPolynomial.from_pairs(terms)
 
 
 def parse_nonstd(doc) -> NonstdNumber:
+    return _parse_nonstd(doc, {})
+
+
+def _parse_nonstd(doc, memo: dict) -> NonstdNumber:
     if not isinstance(doc, dict) or set(doc) != {"num", "den"}:
         raise ParseError(f"bad field element {doc!r}")
-    num = _parse_poly(doc["num"], "num")
-    den = _parse_poly(doc["den"], "den")
+    num = _parse_poly(doc["num"], "num", memo)
+    den = _parse_poly(doc["den"], "den", memo)
     if den.is_zero:
         raise ParseError("zero denominator")
     return NonstdNumber._make(num, den)
@@ -234,13 +261,14 @@ def _mass_row(doc, algebra, where):
 def parse_std_measure(doc) -> StdMeasure:
     algebra = parse_space(doc["space"])
     row = _mass_row(doc["mass"], algebra, "mass")
-    return StdMeasure(algebra, tuple(parse_rational(x) for x in row))
+    return StdMeasure(algebra, _parse_row(row, {}))
 
 
 def parse_nonstd_measure(doc) -> NonstdMeasure:
     algebra = parse_space(doc["space"])
     row = _mass_row(doc["mass"], algebra, "mass")
-    masses = tuple(parse_nonstd(x) for x in row)
+    memo = {}
+    masses = tuple(_parse_nonstd(x, memo) for x in row)
     degree = sum(d.degree() for d in {m.den for m in masses})
     if degree > EXPONENT_MAX:
         raise ParseError(
@@ -255,10 +283,11 @@ def parse_lps(doc) -> LPS:
     measures = doc["measures"]
     if not isinstance(measures, list) or not measures:
         raise ParseError("lps needs a nonempty measure list")
+    memo = {}
     rows = []
     for i, row in enumerate(measures):
         row = _mass_row(row, algebra, f"measures[{i}]")
-        rows.append(StdMeasure(algebra, tuple(parse_rational(x) for x in row)))
+        rows.append(StdMeasure(algebra, _parse_row(row, memo)))
     return LPS(algebra, tuple(rows))
 
 
@@ -268,25 +297,27 @@ def parse_popper(doc) -> PopperSpace:
     rows = doc["table"]
     if len(events) != len(rows):
         raise ParseError("conditioning_events and table lengths differ")
+    memo = {}
     table = {}
     for ev_doc, row in zip(events, rows):
         ev = parse_event(ev_doc, algebra)
         if ev in table:
             raise ParseError(f"duplicate conditioning event {ev_doc}")
         row = _mass_row(row, algebra, f"table[{ev_doc}]")
-        table[ev] = StdMeasure(algebra, tuple(parse_rational(x) for x in row))
+        table[ev] = StdMeasure(algebra, _parse_row(row, memo))
     return PopperSpace(algebra, tuple(table), table)
 
 
 def parse_random_variable(doc) -> RandomVariable:
     algebra = parse_space(doc["space"])
     row = _mass_row(doc["values"], algebra, "values")
-    return RandomVariable(algebra, tuple(parse_rational(x) for x in row))
+    return RandomVariable(algebra, _parse_row(row, {}))
 
 
 def parse_decomposition(doc) -> Decomposition:
     system = parse_lps(doc["lps"])
-    coeffs = tuple(parse_nonstd(c) for c in doc["coefficients"])
+    memo = {}
+    coeffs = tuple(_parse_nonstd(c, memo) for c in doc["coefficients"])
     return Decomposition(system, coeffs)
 
 
@@ -311,10 +342,10 @@ _ENCODERS = {
 
 
 def encode(obj) -> dict:
-    try:
-        return _ENCODERS[type(obj)](obj)
-    except KeyError:
-        raise TypeError(f"no encoding for {type(obj).__name__}") from None
+    encoder = _ENCODERS.get(type(obj))
+    if encoder is None:
+        raise TypeError(f"no encoding for {type(obj).__name__}")
+    return encoder(obj)
 
 
 def parse_document(doc):

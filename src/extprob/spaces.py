@@ -366,7 +366,8 @@ def algebra_findings(algebra: SpaceAlgebra):
     missing = [w for w in algebra.worlds if w not in seen]
     if missing:
         out.append(f"worlds not covered by atoms: {missing}")
-    extra = [w for w in covered if w not in set(algebra.worlds)]
+    known = set(algebra.worlds)
+    extra = [w for w in covered if w not in known]
     if extra:
         out.append(f"atoms mention unknown worlds: {extra}")
     return out

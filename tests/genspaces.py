@@ -1,6 +1,7 @@
 """Seeded random generators and exhaustive builders shared by the test modules."""
 
 from fractions import Fraction
+from itertools import product
 
 from oracles import compose_by_numbers as compose
 
@@ -9,7 +10,7 @@ from extprob.fincof import FinCofEvent
 from extprob.lps import LPS, reduce_lps
 from extprob.npsbridge import geometric_schedule, lps_to_nps, nps_to_lps, steep_schedule
 from extprob.popper import PopperSpace
-from extprob.spaces import NonstdMeasure, SpaceAlgebra, StdMeasure, subsets
+from extprob.spaces import NonstdMeasure, RandomVariable, SpaceAlgebra, StdMeasure, subsets
 
 F = Fraction
 
@@ -409,3 +410,53 @@ def mass_row(rng, n):
         and min(row) >= 0
     )
     return valid, tuple(row)
+
+
+def _grid_nps(rng, sizes):
+    """A measure on the grid of ``sizes``: the product of one embedded
+    random system per coordinate (each coordinate independent of the
+    others), that product with one world's mass rescaled and the whole
+    renormalised, or one embedded random system on the whole grid."""
+    algebra = SpaceAlgebra.discrete(list(product(*(range(s) for s in sizes))))
+    kind = rng.choice((0, 1, 1, 2, 2))
+    if kind == 2:
+        system = random_lps(rng, algebra, max_len=3)
+        return compose(system, geometric_schedule(len(system)))
+    marginals = []
+    for s in sizes:
+        system = random_lps(rng, algebra_of(s), max_len=3)
+        marginals.append(compose(system, geometric_schedule(len(system))).mass)
+    masses = []
+    for w in algebra.worlds:
+        m = ONE
+        for marginal, value in zip(marginals, w):
+            m = m * marginal[value]
+        masses.append(m)
+    if kind == 1:
+        i = rng.randrange(len(masses))
+        masses[i] = masses[i] * rng.choice((F(2), F(1, 3), ONE + EPS, EPS))
+        total = sum(masses, ZERO)
+        masses = [m / total for m in masses]
+    return NonstdMeasure(algebra, tuple(masses))
+
+
+def indep_draw(rng):
+    """``(nu, x, ys)``: a measure on a grid of an x and a y coordinate (2
+    or 3 values each) or, on a tenth of the draws, of an x and two y
+    coordinates (2 values each), any coordinate sometimes cut to 1 value;
+    x and ys are the coordinate projections, x sometimes replaced by a
+    random variable with up to three values.  Set independence holds on
+    about half of the draws."""
+    if rng.random() < 0.9:
+        sizes = [rng.randint(2, 3), rng.choice((2, 2, 3))]
+    else:
+        sizes = [2, 2, 2]
+    sizes = [1 if rng.random() < 0.1 else s for s in sizes]
+    nu = _grid_nps(rng, sizes)
+    worlds = nu.algebra.worlds
+    x, *ys = (
+        RandomVariable.from_values(nu.algebra, [w[c] for w in worlds]) for c in range(len(sizes))
+    )
+    if rng.random() < 0.2:
+        x = RandomVariable.from_values(nu.algebra, [rng.randrange(3) for _ in worlds])
+    return nu, x, ys

@@ -8,6 +8,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from extprob import _linalg
 from extprob.errors import AlgebraMismatchError, LengthMismatchError, UnlimitedError
@@ -16,7 +17,13 @@ from extprob.field import ONE, ZERO, NonstdNumber, st_ratio
 from extprob.lps import LPS, EquivCertificate, _restrict, _split_witness, equivalence
 from extprob.npsbridge import Decomposition, nps_to_lps
 from extprob.popper import PopperSpace, _treelike_findings
-from extprob.spaces import NonstdMeasure, StdMeasure, algebra_findings, subsets
+from extprob.spaces import (
+    NonstdMeasure,
+    StdMeasure,
+    algebra_findings,
+    refuse_over_limit,
+    subsets,
+)
 
 
 def _key(ev):
@@ -751,3 +758,44 @@ def expectation_by_fractions(measure, rv):
         (measure.mass[i] * rv.values[i] for i in range(len(measure.mass))),
         start=Fraction(0),
     )
+
+
+def _approx_match_by_st_ratio(nu, u, v, given):
+    """Standard parts of nu(v | u & given) and nu(v | given) agree, or
+    u & given has mass zero."""
+    ug = nu.event_mass(u & given)
+    if ug.is_zero:
+        return True
+    return st_ratio(nu.event_mass(v & u & given), ug) == st_ratio(
+        nu.event_mass(v & given), nu.event_mass(given)
+    )
+
+
+def approx_indep_set_by_enumeration(nu, x, ys):
+    """``independence.approx_indep_set`` building every event where it is
+    used: the preimage of each value subset of x, and for every (u, v,
+    v') triple the intersections of the ys' preimages behind v and v'."""
+    ys = list(ys)
+    for rv in [x] + ys:
+        if rv.algebra != nu.algebra:
+            raise AlgebraMismatchError("variables on a different algebra")
+    y_ranges = [y.range_values() for y in ys]
+    refuse_over_limit(
+        f"checking set independence on {len(x.range_values())} values of x "
+        f"and {[len(r) for r in y_ranges]} values of ys",
+        2 ** len(x.range_values()) * 4 ** sum(len(r) for r in y_ranges),
+        unit="event triples",
+    )
+    for u_values in subsets(x.range_values()):
+        u_event = x.preimage_event(u_values)
+        for v_choice in product(*(subsets(r) for r in y_ranges)):
+            v_event = nu.algebra.full_event()
+            for y, vals in zip(ys, v_choice):
+                v_event &= y.preimage_event(vals)
+            for vp_choice in product(*(subsets(r) for r in y_ranges)):
+                given = nu.algebra.full_event()
+                for y, vals in zip(ys, vp_choice):
+                    given &= y.preimage_event(vals)
+                if not _approx_match_by_st_ratio(nu, u_event, v_event, given):
+                    return False
+    return True

@@ -26,7 +26,14 @@ is a regression.  The families:
 - ``cli_light``: exit code and stdout of ``cli.main`` for ``validate``
   (measures, systems, and tables at each level), ``expect``, ``believe``
   and ``convert --from lps --to popper``;
-- ``help``: ``--help`` of ``extprob`` and of each command, 80 columns wide.
+- ``help``: ``--help`` of ``extprob`` and of each command, 80 columns wide;
+- ``indep``: verdicts (or exception names and messages) of
+  ``approx_indep_set``, ``approx_indep_mutual``, ``weak_indep`` and
+  ``indep_events`` in every mode on ``indep_draw`` grids, and the
+  refusal of a set check over the limit;
+- ``parsed``: ``jsonio.dumps`` of ``parse_document`` (or the exception)
+  over documents of every type whose entries repeat a few strings, with
+  `int` entries and the odd malformed one among them.
 """
 
 import contextlib
@@ -42,6 +49,7 @@ from genspaces import (
     algebra_of,
     compose,
     covering_slps,
+    indep_draw,
     mass_row,
     random_lps,
     random_slps,
@@ -53,10 +61,17 @@ from genspaces import (
 from extprob import cli, jsonio
 from extprob.belief import LPS_KINDS, NPS_KINDS, POPPER_KINDS, believes
 from extprob.fixtures import FIXTURES
+from extprob.independence import approx_indep_mutual, approx_indep_set, indep_events, weak_indep
 from extprob.lps import LPS, equivalence
-from extprob.npsbridge import geometric_schedule, lps_to_nps, nps_to_lps, verify_aeqchar
+from extprob.npsbridge import (
+    geometric_schedule,
+    lps_to_nps,
+    nps_to_lps,
+    nps_to_popper,
+    verify_aeqchar,
+)
 from extprob.popper import PopperSpace, slps_to_popper, validate_popper
-from extprob.spaces import RandomVariable, StdMeasure, validate_space
+from extprob.spaces import NonstdMeasure, RandomVariable, SpaceAlgebra, StdMeasure, validate_space
 
 DIGESTS = {
     "certificates": "d2e95ed0b3e61d61e56e2996c8d0c2bd87d79f96f857b210321b8a21652e2466",
@@ -68,6 +83,8 @@ DIGESTS = {
     "popper_images": "ef29a14ff1900f9b03f145c60644f623d0a15a9de71ffe579869d983b50bf1e9",
     "cli_light": "1d7ff652d9635c36ad4e78db428efa77660138f448f8e52ce7db76ee85c0d99a",
     "help": "ce7be4bfe1dcf2b5fa48d0b8de195bc86f13be2307e80190ddf70fd72557279c",
+    "indep": "fb8b958b8aab48a7c27dfd4d70bed09db21e83f55ea2ed8582b45add5aa4e5a1",
+    "parsed": "9d118dca93f77be4e26ff4b6fefe16b1754ccece68f2c9164e1e85f524e23996",
 }
 
 
@@ -306,6 +323,103 @@ def help_texts():
         yield f"{stop.value.code}\n{out.getvalue()}"
 
 
+def independence():
+    rng = random.Random(1811)
+    verdicts = {True: 0, False: 0}
+    for _ in range(150):
+        nu, x, ys = indep_draw(rng)
+        n = nu.algebra.n_atoms
+        verdict = approx_indep_set(nu, x, ys)
+        verdicts[verdict] += 1
+        yield str(verdict)
+        yield outcome(approx_indep_mutual, nu, [x] + ys)
+        yield outcome(weak_indep, nu, x, ys[0])
+        yield outcome(weak_indep, nu, ys[0], x, True)
+        u, v, given = (frozenset(rng.sample(range(n), rng.randint(0, n))) for _ in range(3))
+        for mode in ("exact", "approx"):
+            yield outcome(indep_events, nu, u, v, given, mode)
+            yield outcome(indep_events, nu, u, v, None, mode)
+        if n <= 6:
+            space = nps_to_popper(nu)
+            yield outcome(indep_events, space, u, v, given, "popper")
+            yield outcome(indep_events, space, u, v, None, "exact")
+        yield outcome(indep_events, nu, u, v, given, "popper")
+        yield outcome(indep_events, nu, u, v, given, "fuzzy")
+        other = RandomVariable.from_values(algebra_of(n), [0] * n)
+        yield outcome(approx_indep_set, nu, x, [other])
+        yield outcome(weak_indep, nu, other, x)
+    grid = SpaceAlgebra.discrete([(i, j) for i in range(12) for j in range(5)])
+    nu = NonstdMeasure.from_values(grid, [Fraction(1, 60)] * 60)
+    x, y = (RandomVariable.from_values(grid, [w[c] for w in grid.worlds]) for c in (0, 1))
+    yield outcome(approx_indep_set, nu, x, [y])
+    yield outcome(approx_indep_mutual, nu, [y, x])
+    assert min(verdicts.values()) >= 50, verdicts
+
+
+# Entries of the ``parsed`` documents: a few strings repeated, `int`s,
+# and values that are not rationals (each raises ParseError).
+REPEATED = ("0", "1", "1/2", "-1/2", "1/3", "2/4", "007", "-0", "3/6", "-5/10")
+MALFORMED = (True, False, 1.0, "1.0", "1/0", "0/0", None, [1], " 1", "1e3")
+
+
+def entry(rng):
+    draw = rng.random()
+    if draw < 0.2:
+        return rng.randint(-2, 3)
+    if draw < 0.26:
+        return rng.choice(MALFORMED)
+    return rng.choice(REPEATED)
+
+
+def nonstd_entry(rng):
+    den = [[0, "1"]] if rng.random() < 0.7 else [[0, entry(rng)], [1, entry(rng)]]
+    return {"num": [[e, entry(rng)] for e in sorted(rng.sample(range(3), 2))], "den": den}
+
+
+def parsed_document(rng):
+    n = rng.randint(1, 5)
+    algebra = algebra_of(n)
+
+    def row():
+        return [entry(rng) for _ in range(n)]
+
+    space = jsonio.encode_space(algebra)
+
+    def document(type_name, **body):
+        return {"format_version": 1, "type": type_name, "space": space, **body}
+
+    def lps():
+        return document("lps", measures=[row() for _ in range(rng.randint(1, 3))])
+
+    kind = rng.randrange(6)
+    if kind == 0:
+        return document("std_measure", mass=row())
+    if kind == 1:
+        return lps()
+    if kind == 2:
+        return document("random_variable", values=row())
+    if kind == 3:
+        events = rng.sample(algebra.events(), rng.randint(1, min(4, 2**n - 1)))
+        events = [sorted(ev) for ev in events]
+        return document("popper_space", conditioning_events=events, table=[row() for _ in events])
+    if kind == 4:
+        return document("nonstd_measure", mass=[nonstd_entry(rng) for _ in range(n)])
+    doc = lps()
+    coefficients = [nonstd_entry(rng) for _ in doc["measures"]]
+    return {"format_version": 1, "type": "decomposition", "lps": doc, "coefficients": coefficients}
+
+
+def parsed():
+    rng = random.Random(1812)
+    outcomes = {True: 0, False: 0}
+    for _ in range(600):
+        doc = parsed_document(rng)
+        text = outcome(lambda: jsonio.dumps(jsonio.parse_document(doc)[1]))
+        outcomes[text.startswith("{")] += 1
+        yield text
+    assert min(outcomes.values()) >= 120, outcomes
+
+
 def test_certificates():
     assert sha256(certificates()) == DIGESTS["certificates"]
 
@@ -342,3 +456,11 @@ def test_help(monkeypatch):
     # argparse wraps help to the terminal width; pin it.
     monkeypatch.setenv("COLUMNS", "80")
     assert sha256(help_texts()) == DIGESTS["help"]
+
+
+def test_independence_verdicts():
+    assert sha256(independence()) == DIGESTS["indep"]
+
+
+def test_parsed_documents():
+    assert sha256(parsed()) == DIGESTS["parsed"]

@@ -404,6 +404,13 @@ class TestMalformedInput:
         )
         assert "[0, 1] is outside the conditioning family" in err
 
+    def test_zero_denominator_after_repeated_string(self, tmp_path, capsys):
+        doc = jsonio.encode(LPS.from_rows(AB, [(F(1, 2), F(1, 2)), (F(1, 2), F(1, 2))]))
+        doc["measures"][1][1] = "1/0"
+        path = write(tmp_path, "lps.json", doc)
+        err = self.run_bad(["validate", "--in", path], capsys)
+        assert err == f"{path}: bad rational '1/0': Fraction(1, 0)\n"
+
     def test_bad_lps_level_is_named(self, tmp_path, capsys):
         path = write(tmp_path, "lps.json", LPS.from_rows(AB, [(1, 0), (F(1, 2), F(1, 3))]))
         err = self.run_bad(["reduce", "--in", path], capsys)

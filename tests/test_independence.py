@@ -6,11 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from genspaces import compose
+from genspaces import compose, indep_draw
+from oracles import approx_indep_set_by_enumeration
 
-from extprob.errors import LengthMismatchError
+from extprob.errors import LengthMismatchError, SizeLimitError
 from extprob.field import EPS, ONE, NonstdNumber
 from extprob.independence import (
+    approx_indep_mutual,
     approx_indep_set,
     box_combine,
     exact_variable_independence,
@@ -194,13 +196,57 @@ class TestApproxIndepSet:
         assert approx_indep_set(random_grid_measure(random.Random(71)), const, [y])
 
     def test_mutual_variant(self):
-        from extprob.independence import approx_indep_mutual
-
         nu = product_measure(GRID22, {1: ONE - EPS, 2: EPS}, {1: ONE - EPS, 2: EPS})
         xs = [projection(GRID22, 0), projection(GRID22, 1)]
         assert approx_indep_mutual(nu, xs)
         skewed_pair = [projection(GRID32, 0), projection(GRID32, 1)]
         assert not approx_indep_mutual(SKEWED, skewed_pair)
+
+    def test_matches_enumeration_oracle(self):
+        """Verdicts on seeded grids against the enumeration that builds
+        every event inside the triple loop; the mutual variant on every
+        tenth draw."""
+        rng = random.Random(1801)
+        verdicts = {True: 0, False: 0}
+        for k in range(1000):
+            nu, x, ys = indep_draw(rng)
+            verdict = approx_indep_set(nu, x, ys)
+            assert verdict == approx_indep_set_by_enumeration(nu, x, ys), k
+            verdicts[verdict] += 1
+            if k % 10 == 0:
+                xs = [x] + ys
+                assert approx_indep_mutual(nu, xs) == all(
+                    approx_indep_set_by_enumeration(nu, v, xs[:i] + xs[i + 1 :])
+                    for i, v in enumerate(xs)
+                ), k
+        assert min(verdicts.values()) >= 400, verdicts
+
+    def test_events_built_once_per_call(self, monkeypatch):
+        """One preimage per value subset of each variable, however many
+        triples are checked."""
+        calls = []
+        preimage = RandomVariable.preimage_event
+
+        def counted(rv, values):
+            calls.append(values)
+            return preimage(rv, values)
+
+        monkeypatch.setattr(RandomVariable, "preimage_event", counted)
+        nu = product_measure(GRID22, {1: ONE - EPS, 2: EPS}, {1: ONE - EPS, 2: EPS})
+        x, y = projection(GRID22, 0), projection(GRID22, 1)
+        assert approx_indep_set(nu, x, [y, y])
+        assert len(calls) == 4 + 4 + 4
+
+    def test_over_limit_refused_by_name(self):
+        grid = SpaceAlgebra.discrete([(i, j) for i in range(12) for j in range(5)])
+        nu = NonstdMeasure.from_values(grid, [F(1, 60)] * 60)
+        x, y = projection(grid, 0), projection(grid, 1)
+        with pytest.raises(SizeLimitError) as refused:
+            approx_indep_set(nu, x, [y])
+        assert str(refused.value) == (
+            "checking set independence on 12 values of x and [5] values of ys "
+            "needs 4194304 event triples, over the limit EVENT_LIMIT = 1048576"
+        )
 
 
 class TestBoxCombine:

@@ -1,6 +1,7 @@
 """Round-trip fidelity and strictness of the JSON encodings."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,7 @@ from extprob import jsonio
 from extprob.field import EPS, ONE
 from extprob.lps import LPS, equivalence
 from extprob.npsbridge import nps_to_lps
-from extprob.popper import slps_to_popper
+from extprob.popper import PopperSpace, slps_to_popper
 from extprob.spaces import NonstdMeasure, RandomVariable, SpaceAlgebra, StdMeasure
 
 from oracles import parse_rational_by_str
@@ -66,6 +67,20 @@ class TestRoundTrips:
         doc = jsonio.encode(cert)
         assert doc["verdict"] == "inequivalent"
         assert doc["witness"] == {"x": ["1", "0"], "y": ["0", "1"]}
+
+    def test_encode_unknown_type(self):
+        with pytest.raises(TypeError, match="^no encoding for Fraction$"):
+            jsonio.encode(F(1, 2))
+
+    def test_encoder_errors_are_its_own(self):
+        """A table without a row for one of its events fails in the
+        encoder, not as an unknown type."""
+        space = slps_to_popper(LPS.from_rows(AB, [(1, 0), (0, 1)]))
+        table = dict(space.table)
+        del table[AB.event({1})]
+        with pytest.raises(KeyError) as missing:
+            jsonio.dumps(PopperSpace(AB, space.conditioning_events, table))
+        assert missing.value.args == (AB.event({1}),)
 
     def test_dumps_deterministic(self):
         m = StdMeasure.from_values(AB, [F(1, 3), F(2, 3)])
@@ -190,6 +205,123 @@ class TestStrictness:
     def test_rejects_event_out_of_range(self):
         with pytest.raises(jsonio.ParseError):
             jsonio.parse_event([7], AB)
+
+
+def _documents(row):
+    """``(type, document, entries)`` for each type that carries rational
+    rows, the rows built from ``row``, and every rational entry of the
+    document."""
+    n = len(row)
+    space = jsonio.encode_space(algebra_of(n))
+    levels = [row, row[::-1], row]
+    masses = [{"num": [[0, x]], "den": [[0, "1"], [1, "2/4"]]} for x in row]
+    events = [list(range(n)), [0], [n - 1]]
+    docs = [
+        ("std_measure", {"mass": row}, row),
+        ("lps", {"measures": levels}, levels),
+        ("random_variable", {"values": row}, row),
+        ("popper_space", {"conditioning_events": events, "table": levels}, levels),
+        ("nonstd_measure", {"mass": masses}, [[x, "1", "2/4"] for x in row]),
+    ]
+    for type_name, body, entries in docs:
+        doc = {"format_version": 1, "type": type_name, "space": space, **body}
+        if type_name in ("lps", "popper_space", "nonstd_measure"):
+            entries = [x for part in entries for x in part]
+        yield type_name, doc, entries
+
+
+class TestRationalMemo:
+    """Each parser keeps one memo per document from a rational string to
+    its value; anything but a string is parsed every time."""
+
+    @pytest.fixture
+    def matched(self, monkeypatch):
+        """The texts the rational grammar is run on."""
+        texts = []
+        grammar = jsonio._RATIONAL
+
+        class Counted:
+            def fullmatch(self, text):
+                texts.append(text)
+                return grammar.fullmatch(text)
+
+        monkeypatch.setattr(jsonio, "_RATIONAL", Counted())
+        return texts
+
+    def test_grammar_runs_once_per_distinct_string(self, matched):
+        for row in (["1/2", "0", "1/2", "1/2"], ["1/2", 1, "1/2", 1, "0", "007", "0"]):
+            for type_name, doc, entries in _documents(row):
+                matched.clear()
+                jsonio.parse_document(doc)
+                want = Counter({x for x in entries if type(x) is str})
+                want.update(str(x) for x in entries if type(x) is not str)
+                assert Counter(matched) == want, (type_name, row)
+                assert len(matched) < len(entries)
+
+    def test_one_memo_per_document(self, matched):
+        docs = [doc for _, doc, _ in _documents(["1/2", "1/2"])]
+        for doc in docs:
+            jsonio.parse_document(doc)
+        assert matched.count("1/2") == len(docs)
+
+    def test_decomposition(self, matched):
+        system = next(doc for name, doc, _ in _documents(["1/2", "1/2"]) if name == "lps")
+        coefficient = {"num": [[0, "1"], [1, "-1"]], "den": [[0, "1"]]}
+        doc = {"format_version": 1, "type": "decomposition", "lps": system,
+               "coefficients": [coefficient] * 3}
+        jsonio.parse_document(doc)
+        assert sorted(matched) == ["-1", "1", "1/2"]
+
+    def test_equal_masses_share_one_value(self):
+        _, doc, _ = next(_documents(["2/4", "1/2", "2/4"]))
+        a, b, c = jsonio.parse_document(doc)[1].mass
+        assert a is c and a == b == F(1, 2) and type(a) is F
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            ["1", 1, "2/4", "1"],
+            [1, "1", 1, "-0"],
+            ["1", True, "1"],
+            [True, "1", "1"],
+            [1, True, "1"],
+            ["1", 1.0, "1"],
+            [1, "1", 1.0],
+            ["1", "1.0", "1"],
+            ["2/4", "1/0", "2/4"],
+            ["1/2", "1/2", None],
+            ["1", [1], "1"],
+            [False, 0, "0"],
+            [0, "0", False],
+        ],
+    )
+    def test_mixed_rows_parse_entry_by_entry(self, row):
+        """Values and types, or the ParseError of the first bad entry, are
+        those of ``parse_rational`` on each entry in turn."""
+        try:
+            want = [jsonio.parse_rational(x) for x in row]
+        except jsonio.ParseError as exc:
+            want = str(exc)
+        for type_name, doc, entries in _documents(row):
+            if isinstance(want, str):
+                with pytest.raises(jsonio.ParseError) as got:
+                    jsonio.parse_document(doc)
+                assert str(got.value) == want, type_name
+                continue
+            obj = jsonio.parse_document(doc)[1]
+            if type_name == "nonstd_measure":
+                assert list(obj.mass) == [jsonio.parse_nonstd(m) for m in doc["mass"]]
+                continue
+            values = {
+                "std_measure": lambda: obj.mass,
+                "lps": lambda: [x for m in obj.measures for x in m.mass],
+                "random_variable": lambda: obj.values,
+                "popper_space": lambda: [
+                    x for ev in doc["conditioning_events"] for x in obj.table[frozenset(ev)].mass
+                ],
+            }[type_name]()
+            assert list(values) == [jsonio.parse_rational(x) for x in entries], type_name
+            assert {type(v) for v in values} == {F}, type_name
 
 
 def test_rejects_duplicate_conditioning_events():

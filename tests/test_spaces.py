@@ -49,6 +49,20 @@ class TestValidate:
         assert any("already in" in f for f in report.findings)
         assert any("not covered" in f for f in report.findings)
 
+    def test_partition_findings_text_and_order(self):
+        broken = SpaceAlgebra(
+            ("a", "b", "c", (1, 2), "d"),
+            (("a", "b"), (), ("b", "x"), ((1, 2), "y"), (), ("a",)),
+        )
+        assert validate_space(broken).findings == (
+            "atoms[1]: empty block",
+            "atoms[2]: world 'b' already in atoms[0]",
+            "atoms[4]: empty block",
+            "atoms[5]: world 'a' already in atoms[0]",
+            "worlds not covered by atoms: ['c', 'd']",
+            "atoms mention unknown worlds: ['x', 'y']",
+        )
+
     def test_coarse_atoms_are_fine(self):
         coarse = SpaceAlgebra(("a", "b", "c", "d"), (("a", "b"), ("c", "d")))
         m = StdMeasure.from_values(coarse, [F(1, 4), F(3, 4)])
