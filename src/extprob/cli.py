@@ -77,17 +77,21 @@ def _load(path, expected=None):
     return type_name, obj
 
 
-def _check_measure(path, obj):
-    """Reject a measure, or a system with a level, that breaks its invariants."""
-    measures = obj.measures if isinstance(obj, LPS) else (obj,)
-    report = validate_space(obj.algebra, measures)
+def _check_measures(path, algebra, measures):
+    """Reject measures that break their invariants or lie on another space."""
+    report = validate_space(algebra, measures)
     if not report.is_valid:
         raise _BadInput(f"{path}: " + "; ".join(report.findings))
+
+
+def _check_measure(path, obj):
+    """Reject a measure, or a system with a level, that breaks its invariants."""
+    _check_measures(path, obj.algebra, obj.measures if isinstance(obj, LPS) else (obj,))
     return obj
 
 
-def _load_measure(path):
-    type_name, obj = _load(path, ("std_measure", "nonstd_measure", "lps"))
+def _load_measure(path, expected=("std_measure", "nonstd_measure", "lps")):
+    type_name, obj = _load(path, expected)
     return type_name, _check_measure(path, obj)
 
 
@@ -246,7 +250,9 @@ def cmd_indep(args):
     return _emit(["approximately independent of set: true"])
 
 
-def _load_witness(path, kind):
+def _load_witness(path, kind, algebra):
+    """The witness of ``kind`` in ``path``: mixing weights strictly between
+    0 and 1, or measures that keep their invariants on ``algebra``."""
     try:
         doc = jsonio.read_json(path)
     except (jsonio.ParseError, OSError) as exc:
@@ -257,21 +263,30 @@ def _load_witness(path, kind):
         raise _BadInput(f"{path}: witness kind {doc.get('kind')!r} does not match {kind}")
     try:
         if kind == "bbd-r":
-            return [[jsonio.parse_rational(w) for w in vec] for vec in doc["weights"]]
-        if kind in ("bbd-nps", "kr-nps"):
-            return jsonio.parse_nonstd_measure(doc["measure"])
-        if kind == "kr-seq":
-            return [jsonio.parse_std_measure(m) for m in doc["measures"]]
+            weights = [[jsonio.parse_rational(w) for w in vec] for vec in doc["weights"]]
+        elif kind == "kr-seq":
+            measures = [jsonio.parse_std_measure(m) for m in doc["measures"]]
+        else:
+            measures = [jsonio.parse_nonstd_measure(doc["measure"])]
     except (KeyError, TypeError, ValueError) as exc:
         raise _BadInput(f"{path}: {exc}") from None
-    raise _BadInput(f"unknown witness kind {kind!r}")
+    if kind == "bbd-r":
+        outside = [w for vec in weights for w in vec if not 0 < w < 1]
+        if outside:
+            raise _BadInput(f"{path}: mixing weight {outside[0]} outside (0, 1)")
+        return weights
+    _check_measures(path, algebra, measures)
+    return measures if kind == "kr-seq" else measures[0]
 
 
 def cmd_verify_witness(args):
-    target_types = ("lps",) if args.kind.startswith("bbd") else ("popper_space",)
-    _, target = _load(args.target, target_types)
+    bbd = args.kind.startswith("bbd")
+    load = _load_measure if bbd else _load
+    _, target = load(args.target, ("lps",) if bbd else ("popper_space",))
     xs = [_load_rv(path) for path in args.xs.split(",")]
-    witness = _load_witness(args.witness, args.kind)
+    if any(x.algebra != target.algebra for x in xs):
+        raise _BadInput("random variables and target use different spaces")
+    witness = _load_witness(args.witness, args.kind, target.algebra)
     report = verify_indep_witness(args.kind, target, xs, witness)
     if not report.accepted:
         raise _Negative(report.lines())
@@ -286,7 +301,8 @@ def cmd_believe(args):
     }
     if args.kind not in expected:
         raise _BadInput(f"unknown belief kind {args.kind!r}")
-    _, model = _load(args.model, expected[args.kind])
+    load = _load if args.kind in POPPER_KINDS else _load_measure
+    _, model = load(args.model, expected[args.kind])
     event = _parse_event(model.algebra, args.event)
     holds, level = believes(model, event, args.kind)
     lines = [f"{args.kind}: {str(holds).lower()}"]

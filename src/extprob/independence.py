@@ -7,8 +7,11 @@ zero-mass (or non-conditionable) event makes independence hold vacuously.
 
 For random variables: weak independence checks approximate independence of
 the point events in both directions; the set variant quantifies over all
-value subsets and conditioning subsets, which weak independence does not
-imply.  The nested mixture operator collapses a lexicographic system to a
+value subsets and conditioning product sets, which weak independence does
+not imply.  For nonnegative masses it is decided on single values of x,
+joint values of the other variables and the boxes two such values span,
+in time polynomial in the range sizes (see :func:`approx_indep_set`).
+The nested mixture operator collapses a lexicographic system to a
 single standard measure, and the witness verifier discharges the finite
 obligations behind the two strong-independence characterizations (the
 existence halves rest on compactness and stay with the caller).
@@ -18,14 +21,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 from .errors import AlgebraMismatchError, LengthMismatchError
 from .field import st_ratio
 from .lps import LPS, equivalence
 from .npsbridge import nps_to_lps, nps_to_popper
 from .popper import PopperSpace
-from .spaces import Event, NonstdMeasure, RandomVariable, StdMeasure, refuse_over_limit, subsets
+from .spaces import Event, NonstdMeasure, RandomVariable, StdMeasure
 
 
 def _exact_conditional_match(nu: NonstdMeasure, u: Event, v: Event, given: Event) -> bool:
@@ -102,38 +105,42 @@ def weak_indep(
 def approx_indep_set(nu: NonstdMeasure, x: RandomVariable, ys) -> bool:
     """Is x approximately independent of the whole set of variables?
 
-    Quantifies over every value subset of x, and every pair of value
-    subsets of each variable in ys (one inside the compared event, one in
-    the conditioning event).  Exponential in the range sizes, so it raises
-    :class:`SizeLimitError` before checking more than
-    :data:`spaces.EVENT_LIMIT` event triples.  Each variable's subset
-    events, and their intersections over one choice of a subset per y,
-    are built once per call; the compared and the conditioning event
-    range over the same intersections.
+    The definition asks, for every value set U of x and every pair of
+    product sets V, V' of values of the ys, that st(nu(V | U & V')) equal
+    st(nu(V | V')) whenever U & V' has nonzero mass.  For nonnegative
+    masses, which this requires (as :func:`npsbridge.nps_equiv_simeq`
+    does; the CLI validates every measure it loads), three reductions
+    leave a check on value points and the boxes they span:
+
+    - V reduces to points (joint values of the ys), because the standard
+      part of a conditional is additive in the conditioned event.
+    - U reduces to single values of x, because nu(V | U & V') is a
+      mixture of the nu(V | u & V') with weights summing to one.
+    - V' reduces to the boxes spanned by two distinct points (the points
+      whose every coordinate is one of theirs).  For a value u the
+      standard conditional on V' sits on the points of least order in V',
+      in the ratio of their lowest-order coefficients.  Two points least
+      in V' are least in the box they span, and a point least in V' is
+      least in its box with any other point of V'; so the boxes fix,
+      under each u as under nu, which points of V' are least and their
+      ratios.  A box of one point conditions trivially.
+
+    That is |range x| * N^2 * 2^k conditional reads for N points of k ys.
     """
     ys = list(ys)
     for rv in [x] + ys:
         if rv.algebra != nu.algebra:
             raise AlgebraMismatchError("variables on a different algebra")
-    y_ranges = [y.range_values() for y in ys]
-    refuse_over_limit(
-        f"checking set independence on {len(x.range_values())} values of x "
-        f"and {[len(r) for r in y_ranges]} values of ys",
-        2 ** len(x.range_values()) * 4 ** sum(len(r) for r in y_ranges),
-        unit="event triples",
-    )
-    y_events = [[y.preimage_event(vals) for vals in subsets(r)] for y, r in zip(ys, y_ranges)]
-    boxes = []
-    for choice in product(*y_events):
-        box = nu.algebra.full_event()
-        for ev in choice:
-            box &= ev
-        boxes.append(box)
-    for u_values in subsets(x.range_values()):
-        u_event = x.preimage_event(u_values)
-        for v_event in boxes:
-            for given in boxes:
-                if not _approx_conditional_match(nu, u_event, v_event, given):
+    points = {}
+    for atom, point in enumerate(zip(*(y.values for y in ys))):
+        points[point] = points.get(point, frozenset()) | {atom}
+    x_events = [x.level_event(u) for u in x.range_values()]
+    for t, s in combinations(points, 2):
+        spanned = [p for p in product(*({a, b} for a, b in zip(t, s))) if p in points]
+        box = frozenset().union(*(points[p] for p in spanned))
+        for u in x_events:
+            for p in spanned:
+                if not _approx_conditional_match(nu, u, points[p], box):
                     return False
     return True
 

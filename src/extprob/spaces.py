@@ -67,19 +67,17 @@ class SpaceAlgebra:
                 raise ValueError(f"atom index {i} out of range")
         return ev
 
-    def events(self, include_empty: bool = False):
-        """All events, in lexicographic order of their sorted index tuples.
+    def events(self):
+        """All nonempty events, in lexicographic order of their sorted index
+        tuples.
 
         Raises :class:`SizeLimitError` before listing more than
         :data:`EVENT_LIMIT` events.
         """
         refuse_over_limit(
-            f"listing the events of {len(self.atoms)} atoms",
-            2 ** len(self.atoms) - (not include_empty),
+            f"listing the events of {len(self.atoms)} atoms", 2 ** len(self.atoms) - 1
         )
-        out = [frozenset()] if include_empty else []
-        out.extend(frozenset(s) for s in sorted(subsets(range(len(self.atoms)))[1:]))
-        return out
+        return [frozenset(s) for s in sorted(subsets(range(len(self.atoms)))[1:])]
 
     def complement(self, ev: Event) -> Event:
         return self.full_event() - ev

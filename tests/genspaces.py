@@ -440,6 +440,17 @@ def _grid_nps(rng, sizes):
     return NonstdMeasure(algebra, tuple(masses))
 
 
+def grid_draw(rng, sizes):
+    """``(nu, x, ys)``: a measure on the grid of ``sizes`` (see
+    ``_grid_nps``) and the coordinate projections, x the first."""
+    nu = _grid_nps(rng, sizes)
+    x, *ys = (
+        RandomVariable.from_values(nu.algebra, [w[c] for w in nu.algebra.worlds])
+        for c in range(len(sizes))
+    )
+    return nu, x, ys
+
+
 def indep_draw(rng):
     """``(nu, x, ys)``: a measure on a grid of an x and a y coordinate (2
     or 3 values each) or, on a tenth of the draws, of an x and two y
@@ -452,11 +463,7 @@ def indep_draw(rng):
     else:
         sizes = [2, 2, 2]
     sizes = [1 if rng.random() < 0.1 else s for s in sizes]
-    nu = _grid_nps(rng, sizes)
-    worlds = nu.algebra.worlds
-    x, *ys = (
-        RandomVariable.from_values(nu.algebra, [w[c] for w in worlds]) for c in range(len(sizes))
-    )
+    nu, x, ys = grid_draw(rng, sizes)
     if rng.random() < 0.2:
-        x = RandomVariable.from_values(nu.algebra, [rng.randrange(3) for _ in worlds])
+        x = RandomVariable.from_values(nu.algebra, [rng.randrange(3) for _ in nu.algebra.worlds])
     return nu, x, ys

@@ -772,9 +772,10 @@ def _approx_match_by_st_ratio(nu, u, v, given):
 
 
 def approx_indep_set_by_enumeration(nu, x, ys):
-    """``independence.approx_indep_set`` building every event where it is
-    used: the preimage of each value subset of x, and for every (u, v,
-    v') triple the intersections of the ys' preimages behind v and v'."""
+    """``independence.approx_indep_set`` from its definition: every value
+    subset of x against every pair of product sets of values of the ys,
+    one inside the compared event and one in the conditioning event.  Each
+    product set's event is built once per call."""
     ys = list(ys)
     for rv in [x] + ys:
         if rv.algebra != nu.algebra:
@@ -786,16 +787,16 @@ def approx_indep_set_by_enumeration(nu, x, ys):
         2 ** len(x.range_values()) * 4 ** sum(len(r) for r in y_ranges),
         unit="event triples",
     )
+    product_sets = []
+    for choice in product(*(subsets(r) for r in y_ranges)):
+        event = nu.algebra.full_event()
+        for y, vals in zip(ys, choice):
+            event &= y.preimage_event(vals)
+        product_sets.append(event)
     for u_values in subsets(x.range_values()):
         u_event = x.preimage_event(u_values)
-        for v_choice in product(*(subsets(r) for r in y_ranges)):
-            v_event = nu.algebra.full_event()
-            for y, vals in zip(ys, v_choice):
-                v_event &= y.preimage_event(vals)
-            for vp_choice in product(*(subsets(r) for r in y_ranges)):
-                given = nu.algebra.full_event()
-                for y, vals in zip(ys, vp_choice):
-                    given &= y.preimage_event(vals)
+        for v_event in product_sets:
+            for given in product_sets:
                 if not _approx_match_by_st_ratio(nu, u_event, v_event, given):
                     return False
     return True

@@ -186,7 +186,7 @@ def test_criterion_08_independence_transport():
             system = random_lps(rng, algebra, max_len=3)
             nu = compose(system, geometric_schedule(len(system)))
             space = nps_to_popper(nu)
-            events = algebra.events(include_empty=True)
+            events = [frozenset(), *algebra.events()]
             for u in events:
                 for v in events:
                     for g in events:
@@ -262,7 +262,7 @@ def test_criterion_12_treelike_construction():
             assert space.validate("treelike").is_valid
             system = treelike_to_lps(space)
             assert classify_lps(system).is_lcps
-            all_events = algebra.events(include_empty=True)
+            all_events = [frozenset(), *algebra.events()]
             for u in space.conditioning_events:
                 assert system.gives_positive_mass(u)
                 lead = system.condition(u).measures[0]

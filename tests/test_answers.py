@@ -29,11 +29,16 @@ is a regression.  The families:
 - ``help``: ``--help`` of ``extprob`` and of each command, 80 columns wide;
 - ``indep``: verdicts (or exception names and messages) of
   ``approx_indep_set``, ``approx_indep_mutual``, ``weak_indep`` and
-  ``indep_events`` in every mode on ``indep_draw`` grids, and the
-  refusal of a set check over the limit;
+  ``indep_events`` in every mode on ``indep_draw`` grids, and the set
+  and mutual checks on a uniform 12 x 5 grid;
 - ``parsed``: ``jsonio.dumps`` of ``parse_document`` (or the exception)
   over documents of every type whose entries repeat a few strings, with
-  `int` entries and the odd malformed one among them.
+  `int` entries and the odd malformed one among them;
+- ``nps_images``: ``jsonio.dumps`` of ``nps_to_popper`` on ``simeq_pair``
+  measures and ``tilted_apart`` copies;
+- ``simeq``: ``nps_equiv(..., "simeq")`` verdicts (or exception names and
+  messages) on ``simeq_pair`` draws, ``tilted`` and ``tilted_apart``
+  copies, and pairs on different algebras.
 """
 
 import contextlib
@@ -55,6 +60,7 @@ from genspaces import (
     random_slps,
     random_treelike_space,
     simeq_pair,
+    tilted,
     tilted_apart,
 )
 
@@ -66,6 +72,7 @@ from extprob.lps import LPS, equivalence
 from extprob.npsbridge import (
     geometric_schedule,
     lps_to_nps,
+    nps_equiv,
     nps_to_lps,
     nps_to_popper,
     verify_aeqchar,
@@ -83,8 +90,10 @@ DIGESTS = {
     "popper_images": "ef29a14ff1900f9b03f145c60644f623d0a15a9de71ffe579869d983b50bf1e9",
     "cli_light": "1d7ff652d9635c36ad4e78db428efa77660138f448f8e52ce7db76ee85c0d99a",
     "help": "ce7be4bfe1dcf2b5fa48d0b8de195bc86f13be2307e80190ddf70fd72557279c",
-    "indep": "fb8b958b8aab48a7c27dfd4d70bed09db21e83f55ea2ed8582b45add5aa4e5a1",
+    "indep": "490c08b4030e47828cbdbd85291bd70fe00f55ce6f9f9cfbb48456525d313fb3",
     "parsed": "9d118dca93f77be4e26ff4b6fefe16b1754ccece68f2c9164e1e85f524e23996",
+    "nps_images": "6a02aa635ac7105a709c133ee58679e77eced5ec638f5d1cd2d5cd9e916322bf",
+    "simeq": "55e1c0027326a5a8a47cf48fcb376db059c1622ffd7e915ef899de68788e3129",
 }
 
 
@@ -420,6 +429,28 @@ def parsed():
     assert min(outcomes.values()) >= 120, outcomes
 
 
+def nps_images():
+    rng = random.Random(1901)
+    for _ in range(150):
+        a, b = simeq_pair(rng, max_atoms=5)
+        for nu in (a, tilted_apart(rng, b)):
+            yield jsonio.dumps(nps_to_popper(nu))
+
+
+def simeq():
+    rng = random.Random(1902)
+    verdicts = {True: 0, False: 0}
+    for _ in range(600):
+        a, b = simeq_pair(rng)
+        for other in (b, tilted(rng, b), tilted_apart(rng, a)):
+            verdict = nps_equiv(a, other, "simeq")
+            verdicts[verdict] += 1
+            yield str(verdict)
+        if rng.random() < 0.1:
+            yield outcome(nps_equiv, a, lps_to_nps(random_lps(rng, algebra_of(7))), "simeq")
+    assert min(verdicts.values()) >= 200, verdicts
+
+
 def test_certificates():
     assert sha256(certificates()) == DIGESTS["certificates"]
 
@@ -464,3 +495,11 @@ def test_independence_verdicts():
 
 def test_parsed_documents():
     assert sha256(parsed()) == DIGESTS["parsed"]
+
+
+def test_nps_images():
+    assert sha256(nps_images()) == DIGESTS["nps_images"]
+
+
+def test_simeq_verdicts():
+    assert sha256(simeq()) == DIGESTS["simeq"]

@@ -12,7 +12,7 @@ from genspaces import algebra_of
 from extprob import cli, jsonio
 from extprob import lps as lps_module
 from extprob.cli import main
-from extprob.field import EPS, ONE
+from extprob.field import EPS, ONE, ZERO
 from extprob.lps import LPS, reduce_lps
 from extprob.npsbridge import lps_to_nps, nps_to_popper
 from extprob.popper import PopperSpace
@@ -283,20 +283,26 @@ class TestIndepVariants:
         measure, x, _ = self.make_grid(tmp_path)
         assert main(["indep", "--measure", measure, "--variant", "weak", "--x", x]) == 2
 
-    def test_set_variant_over_limit(self, tmp_path, capsys):
-        """Independent coordinates of a uniform 12 x 5 grid, refused by
-        name: the check would take 2^12 * 4^5 = 2^22 event triples."""
+    def test_set_variant_twelve_by_five(self, tmp_path, capsys):
+        """A uniform 12 x 5 grid has independent coordinates; with the mass
+        of world (0, 0) times eps they are not."""
         grid = SpaceAlgebra.discrete([(i, j) for i in range(12) for j in range(5)])
-        measure = write(tmp_path, "nu.json", NonstdMeasure.from_values(grid, [F(1, 60)] * 60))
         x = write(tmp_path, "x.json", RandomVariable.from_values(grid, [i for i, _ in grid.worlds]))
         y = write(tmp_path, "y.json", RandomVariable.from_values(grid, [j for _, j in grid.worlds]))
-        start = time.perf_counter()
-        assert main(["indep", "--measure", measure, "--variant", "set", "--x", x, "--ys", y]) == 3
-        assert time.perf_counter() - start < 1.0
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert f"EVENT_LIMIT = {EVENT_LIMIT}" in captured.err
-        assert EVENT_LIMIT == 1048576
+        masses = [ONE] * 60
+        masses[0] = EPS
+        total = sum(masses, ZERO)
+        for name, mass, code, verdict in (
+            ("uniform.json", [F(1, 60)] * 60, 0, "true"),
+            ("tilted.json", [m / total for m in masses], 1, "false"),
+        ):
+            measure = write(tmp_path, name, NonstdMeasure.from_values(grid, mass))
+            start = time.perf_counter()
+            assert main(["indep", "--measure", measure, "--variant", "set", "--x", x, "--ys", y]) == code
+            assert time.perf_counter() - start < 1.0
+            captured = capsys.readouterr()
+            assert captured.out == f"approximately independent of set: {verdict}\n"
+            assert captured.err == ""
 
 
 class TestBelievePopper:
@@ -357,6 +363,74 @@ class TestMalformedInput:
         captured = capsys.readouterr()
         assert captured.out == ""
         return captured.err
+
+    GRID = SpaceAlgebra.discrete([(1, 1), (1, 2), (2, 1), (2, 2)])
+
+    def witness_args(self, tmp_path, kind, witness, target=None, xs=None):
+        """verify-witness argv for ``witness`` against a valid target and
+        the two coordinates of the 2 x 2 grid."""
+        grid = self.GRID
+        if target is None:
+            system = LPS.from_rows(grid, [(1, 0, 0, 0), (F(1, 4),) * 4])
+            target = system if kind.startswith("bbd") else nps_to_popper(lps_to_nps(system))
+        if xs is None:
+            xs = [RandomVariable.from_values(grid, [w[c] for w in grid.worlds]) for c in (0, 1)]
+        x_paths = [write(tmp_path, f"x{c}.json", x) for c, x in enumerate(xs)]
+        return [
+            "verify-witness", "--kind", kind, "--target", write(tmp_path, "target.json", target),
+            "--xs", ",".join(x_paths),
+            "--witness", write(tmp_path, "w.json", {"type": "witness", "kind": kind, **witness}),
+        ]
+
+    @pytest.mark.parametrize("kind, witness, message", [
+        ("bbd-nps", {"measure": [ZERO] * 4}, "w.json: measures[0]: masses sum to 0, not 1"),
+        ("bbd-nps", {"measure": [ONE + EPS, -EPS, ZERO, ZERO]},
+         "w.json: measures[0]: negative mass -eps at atom 1"),
+        ("kr-nps", {"measure": [ONE * 2, -ONE, ZERO, ZERO]},
+         "w.json: measures[0]: negative mass -1 at atom 1"),
+        ("kr-seq", {"measures": [(F(1, 4),) * 4, (2, -1, 0, 0)]},
+         "w.json: measures[1]: negative mass -1 at atom 1"),
+        ("kr-seq", {"measures": [(1, 0)]}, "w.json: measures[0]: built on a different algebra"),
+        ("bbd-nps", {"measure": [ONE, ZERO]}, "w.json: measures[0]: built on a different algebra"),
+        ("bbd-r", {"weights": [["1/2"], ["2"]]}, "w.json: mixing weight 2 outside (0, 1)"),
+    ])
+    def test_malformed_witness(self, tmp_path, capsys, kind, witness, message):
+        """Witness measures are validated on the target's space, and mixing
+        weights must lie strictly between 0 and 1."""
+        if "measure" in witness:
+            masses = witness["measure"]
+            space = self.GRID if len(masses) == 4 else AB
+            witness = {"measure": jsonio.encode(NonstdMeasure(space, tuple(masses)))}
+        elif "measures" in witness:
+            witness = {"measures": [
+                jsonio.encode(StdMeasure.from_values(self.GRID if len(m) == 4 else AB, m))
+                for m in witness["measures"]
+            ]}
+        err = self.run_bad(self.witness_args(tmp_path, kind, witness), capsys)
+        assert err.endswith(message + "\n"), err
+
+    def test_witness_variables_on_another_space(self, tmp_path, capsys):
+        xs = [RandomVariable.from_values(AB, [0, 1])]
+        argv = self.witness_args(tmp_path, "bbd-r", {"weights": [["1/2"]]}, xs=xs)
+        assert self.run_bad(argv, capsys) == "random variables and target use different spaces\n"
+
+    def test_malformed_lps_target(self, tmp_path, capsys):
+        target = LPS(self.GRID, (StdMeasure.from_values(self.GRID, [2, -1, 0, 0]),))
+        argv = self.witness_args(tmp_path, "bbd-r", {"weights": [[]]}, target=target)
+        assert self.run_bad(argv, capsys).endswith(
+            "target.json: measures[0]: negative mass -1 at atom 1\n"
+        )
+
+    @pytest.mark.parametrize("kind", ["weak", "nps-weak"])
+    def test_believe_checks_its_model(self, tmp_path, capsys, kind):
+        """Systems and measures are validated; conditional spaces are not."""
+        if kind == "weak":
+            model = LPS(AB, (StdMeasure.from_values(AB, [2, -1]),))
+        else:
+            model = NonstdMeasure(AB, (ONE * 2, -ONE))
+        path = write(tmp_path, "model.json", model)
+        err = self.run_bad(["believe", "--model", path, "--event", "0", "--kind", kind], capsys)
+        assert err == f"{path}: measures[0]: negative mass -1 at atom 1\n"
 
     def test_conditioning_events_not_a_list(self, tmp_path, capsys):
         doc = jsonio.encode(nps_to_popper(NonstdMeasure.from_values(AB, [ONE - EPS, EPS])))

@@ -2,15 +2,16 @@
 mixture operator, and strong-independence witness checking."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from genspaces import compose, indep_draw
+from genspaces import compose, grid_draw, indep_draw
 from oracles import approx_indep_set_by_enumeration
 
-from extprob.errors import LengthMismatchError, SizeLimitError
-from extprob.field import EPS, ONE, NonstdNumber
+from extprob.errors import LengthMismatchError
+from extprob.field import EPS, ONE, ZERO, NonstdNumber
 from extprob.independence import (
     approx_indep_mutual,
     approx_indep_set,
@@ -97,7 +98,7 @@ class TestIndepEvents:
         rng = random.Random(59)
         for _ in range(25):
             nu = random_grid_measure(rng)
-            events = list(nu.algebra.events(include_empty=True))
+            events = [frozenset(), *nu.algebra.events()]
             for _ in range(20):
                 u, v, g = (rng.choice(events) for _ in range(3))
                 if indep_events(nu, u, v, g, mode="exact"):
@@ -109,7 +110,7 @@ class TestIndepEvents:
             system = random_system(rng, GRID22)
             nu_a = compose(system, geometric_schedule(len(system)))
             nu_b = compose(system, steep_schedule(len(system)))
-            events = list(GRID22.events(include_empty=True))
+            events = [frozenset(), *GRID22.events()]
             for u in events:
                 for v in events:
                     for g in events:
@@ -122,7 +123,7 @@ class TestIndepEvents:
         for _ in range(5):
             nu = random_grid_measure(rng)
             space = nps_to_popper(nu)
-            events = list(nu.algebra.events(include_empty=True))
+            events = [frozenset(), *nu.algebra.events()]
             for u in events:
                 for v in events:
                     for g in events:
@@ -221,32 +222,79 @@ class TestApproxIndepSet:
                 ), k
         assert min(verdicts.values()) >= 400, verdicts
 
-    def test_events_built_once_per_call(self, monkeypatch):
-        """One preimage per value subset of each variable, however many
-        triples are checked."""
-        calls = []
-        preimage = RandomVariable.preimage_event
+    def test_three_ys_match_enumeration_oracle(self):
+        """2 x 2 x 2 x 2 grids: x and three ys, which ``indep_draw`` never
+        has."""
+        rng = random.Random(1901)
+        verdicts = {True: 0, False: 0}
+        for k in range(150):
+            nu, x, ys = grid_draw(rng, [2, 2, 2, 2])
+            verdict = approx_indep_set(nu, x, ys)
+            assert verdict == approx_indep_set_by_enumeration(nu, x, ys), k
+            verdicts[verdict] += 1
+        assert min(verdicts.values()) >= 50, verdicts
 
-        def counted(rv, values):
-            calls.append(values)
+    @pytest.mark.parametrize("diagonal_order, verdict", [(1, True), (0, False)])
+    def test_diagonal_ratios_seen_only_in_spanned_boxes(self, diagonal_order, verdict):
+        """x, y1, y2 on a 2 x 2 x 2 grid.  The diagonal y-points (0, 0) and
+        (1, 1) have coefficients 1 : 2 under x = 0 and 3 : 1 under x = 1, at
+        ``diagonal_order``; the off-diagonal ones have coefficient 1 under
+        both, at the other order.  The only product set holding both
+        diagonal points is the whole box, so their ratio counts only when
+        they are least in it; comparing on the pair {(0, 0), (1, 1)}
+        alone would call the first case dependent."""
+        diagonal = {(0, 0, 0): 1, (0, 1, 1): 2, (1, 0, 0): 3, (1, 1, 1): 1}
+        grid = SpaceAlgebra.discrete([(i, j, k) for i in (0, 1) for j in (0, 1) for k in (0, 1)])
+        masses = [
+            EPS ** diagonal_order * diagonal[w] if w in diagonal else EPS ** (1 - diagonal_order)
+            for w in grid.worlds
+        ]
+        total = sum(masses, ZERO)
+        nu = NonstdMeasure.from_values(grid, [m / total for m in masses])
+        x, y1, y2 = (projection(grid, c) for c in range(3))
+        assert approx_indep_set_by_enumeration(nu, x, [y1, y2]) is verdict
+        assert approx_indep_set(nu, x, [y1, y2]) is verdict
+
+    def test_events_built_once_per_call(self, monkeypatch):
+        """One level event per value of x, and no preimage of a value
+        subset."""
+        calls = {"level": [], "preimage": []}
+        level, preimage = RandomVariable.level_event, RandomVariable.preimage_event
+
+        def counted_level(rv, value):
+            calls["level"].append(value)
+            return level(rv, value)
+
+        def counted_preimage(rv, values):
+            calls["preimage"].append(values)
             return preimage(rv, values)
 
-        monkeypatch.setattr(RandomVariable, "preimage_event", counted)
+        monkeypatch.setattr(RandomVariable, "level_event", counted_level)
+        monkeypatch.setattr(RandomVariable, "preimage_event", counted_preimage)
         nu = product_measure(GRID22, {1: ONE - EPS, 2: EPS}, {1: ONE - EPS, 2: EPS})
         x, y = projection(GRID22, 0), projection(GRID22, 1)
         assert approx_indep_set(nu, x, [y, y])
-        assert len(calls) == 4 + 4 + 4
+        assert calls == {"level": [1, 2], "preimage": []}
 
-    def test_over_limit_refused_by_name(self):
-        grid = SpaceAlgebra.discrete([(i, j) for i in range(12) for j in range(5)])
-        nu = NonstdMeasure.from_values(grid, [F(1, 60)] * 60)
-        x, y = projection(grid, 0), projection(grid, 1)
-        with pytest.raises(SizeLimitError) as refused:
-            approx_indep_set(nu, x, [y])
-        assert str(refused.value) == (
-            "checking set independence on 12 values of x and [5] values of ys "
-            "needs 4194304 event triples, over the limit EVENT_LIMIT = 1048576"
-        )
+    def test_twelve_by_five_grid_decided(self):
+        """The uniform 12 x 5 grid, and the same grid with the mass of world
+        (0, 0) times eps; the same tilt on a 3 x 2 grid agrees with the
+        enumeration."""
+        for rows, cols in ((12, 5), (3, 2)):
+            grid = SpaceAlgebra.discrete([(i, j) for i in range(rows) for j in range(cols)])
+            x, y = projection(grid, 0), projection(grid, 1)
+            uniform = NonstdMeasure.from_values(grid, [F(1, rows * cols)] * (rows * cols))
+            masses = [ONE] * (rows * cols)
+            masses[0] = EPS
+            total = sum(masses, ZERO)
+            tilted = NonstdMeasure.from_values(grid, [m / total for m in masses])
+            start = time.perf_counter()
+            assert approx_indep_set(uniform, x, [y])
+            assert not approx_indep_set(tilted, x, [y])
+            assert time.perf_counter() - start < 1.0
+            if rows * cols <= 6:
+                assert approx_indep_set_by_enumeration(uniform, x, [y])
+                assert not approx_indep_set_by_enumeration(tilted, x, [y])
 
 
 class TestBoxCombine:

@@ -84,7 +84,7 @@ class TestEventMass:
 
     def test_finite_additivity_exhaustive_pairs(self):
         m = StdMeasure.from_values(ABC, [F(1, 6), F(1, 3), F(1, 2)])
-        events = ABC.events(include_empty=True)
+        events = [frozenset(), *ABC.events()]
         for a in events:
             for b in events:
                 if not (a & b):
@@ -188,10 +188,9 @@ class TestCondition:
 
 
 def test_events_in_lexicographic_order():
-    assert ABC.events(include_empty=True) == [
-        frozenset(ev) for ev in [(), (0,), (0, 1), (0, 1, 2), (0, 2), (1,), (1, 2), (2,)]
+    assert ABC.events() == [
+        frozenset(ev) for ev in [(0,), (0, 1), (0, 1, 2), (0, 2), (1,), (1, 2), (2,)]
     ]
-    assert ABC.events() == ABC.events(include_empty=True)[1:]
 
 
 def _outcome(call, *args):
@@ -231,7 +230,7 @@ class TestAgainstFractionRoute:
             assert (findings == []) == valid
             # A valid rational row is accepted on its integers alone.
             assert bool(fallbacks) == (not valid)
-            for ev in algebra.events(include_empty=True) + [frozenset({n})]:
+            for ev in [frozenset(), *algebra.events(), frozenset({n})]:
                 assert _outcome(measure.event_mass, ev) == _outcome(
                     event_mass_by_fractions, measure, ev
                 )
