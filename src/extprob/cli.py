@@ -95,6 +95,15 @@ def _load_measure(path, expected=("std_measure", "nonstd_measure", "lps")):
     return type_name, _check_measure(path, obj)
 
 
+def _load_table(path):
+    """A popper_space document whose table keeps the ``cps`` axioms."""
+    _, space = _load(path, ("popper_space",))
+    report = space.validate("cps")
+    if not report.is_valid:
+        raise _BadInput(f"{path}: " + "; ".join(report.findings))
+    return space
+
+
 def _load_rv(path):
     return _load(path, ("random_variable",))[1]
 
@@ -251,8 +260,9 @@ def cmd_indep(args):
 
 
 def _load_witness(path, kind, algebra):
-    """The witness of ``kind`` in ``path``: mixing weights strictly between
-    0 and 1, or measures that keep their invariants on ``algebra``."""
+    """The witness of ``kind`` in ``path``: a nonempty list of mixing
+    weights strictly between 0 and 1, or measures (at least one) that keep
+    their invariants on ``algebra``."""
     try:
         doc = jsonio.read_json(path)
     except (jsonio.ParseError, OSError) as exc:
@@ -270,19 +280,25 @@ def _load_witness(path, kind, algebra):
             measures = [jsonio.parse_nonstd_measure(doc["measure"])]
     except (KeyError, TypeError, ValueError) as exc:
         raise _BadInput(f"{path}: {exc}") from None
+    # An empty list yields no check, and no failed check reads as accepted.
     if kind == "bbd-r":
+        if not weights:
+            raise _BadInput(f"{path}: the witness lists no weights")
         outside = [w for vec in weights for w in vec if not 0 < w < 1]
         if outside:
             raise _BadInput(f"{path}: mixing weight {outside[0]} outside (0, 1)")
         return weights
+    if not measures:
+        raise _BadInput(f"{path}: the witness lists no measures")
     _check_measures(path, algebra, measures)
     return measures if kind == "kr-seq" else measures[0]
 
 
 def cmd_verify_witness(args):
-    bbd = args.kind.startswith("bbd")
-    load = _load_measure if bbd else _load
-    _, target = load(args.target, ("lps",) if bbd else ("popper_space",))
+    if args.kind.startswith("bbd"):
+        target = _load_measure(args.target, ("lps",))[1]
+    else:
+        target = _load_table(args.target)
     xs = [_load_rv(path) for path in args.xs.split(",")]
     if any(x.algebra != target.algebra for x in xs):
         raise _BadInput("random variables and target use different spaces")
@@ -301,8 +317,10 @@ def cmd_believe(args):
     }
     if args.kind not in expected:
         raise _BadInput(f"unknown belief kind {args.kind!r}")
-    load = _load if args.kind in POPPER_KINDS else _load_measure
-    _, model = load(args.model, expected[args.kind])
+    if args.kind in POPPER_KINDS:
+        model = _load_table(args.model)
+    else:
+        model = _load_measure(args.model, expected[args.kind])[1]
     event = _parse_event(model.algebra, args.event)
     holds, level = believes(model, event, args.kind)
     lines = [f"{args.kind}: {str(holds).lower()}"]

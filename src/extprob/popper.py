@@ -25,10 +25,38 @@ and order of the exhaustive check:
   holds u | {a} for every member u and atom a.  Given that, every v with
   mu(v|u) != 0 contains an atom a with mu({a}|u) != 0, so positive
   closure needs only those singletons in the family.
-- Covering pairs: on a closed family with CP1 and no other finding, the
-  chain rule on the pairs (x, x | {a}) gives it on every nested pair, by
-  induction on |u - x| through y = x | {a}: mu(v|u) = mu(v|y) * mu(y|u)
-  = mu(v|x) * mu(x|y) * mu(y|u) = mu(v|x) * mu(x|u).
+- Peeled levels: on a closed family with CP1 and no other finding, peel
+  W_0 = the space, then W_{k+1} = W_k minus the support S_k of W_k's
+  row, while that remainder is in the family (the levels
+  :func:`popper_to_slps` reads).  Every member x lies in some W_k and
+  meets its S_k, because a member inside a remainder makes the
+  remainder a member too.  Test each member x once, against W_k for the
+  first such k.  For x <= u, x first meets a level no earlier than u,
+  and the test of u gives mu(a|u) = mu(a|W) / mu(u|W) on the atoms of
+  u, where W is u's level and mu(u|W) > 0 (u meets the support, and
+  masses are nonnegative):
+  - if x first meets W too, summing over x gives mu(x|u) =
+    mu(x|W) / mu(u|W), and dividing the test of x, mu(a|W) =
+    mu(a|x) * mu(x|W), by mu(u|W) gives mu(a|u) = mu(a|x) * mu(x|u);
+  - if x first meets a later level, mu(a|W) = 0 on x, so mu(a|u) = 0
+    there, mu(x|u) = 0, and both sides of the chain rule vanish.
+  So |F| tests stand for every nested pair of the family F.  When some
+  test fails, the same two cases still prove each pair (x, u) whose u
+  passed, unless x failed at u's level.
+- Composition: on integer rows, the chain rule on (x, y) and on (y, u)
+  gives it on (x, u), whatever the rows hold beyond a positive
+  denominator of y: u_mass[a] * Y = y_mass[a] * y_in_u and
+  y_mass[a] * X = x_mass[a] * x_in_y give u_mass[a] * X * Y =
+  x_mass[a] * x_in_y * y_in_u = x_mass[a] * x_in_u * Y, since summing
+  the first over x gives x_in_u * Y = x_in_y * y_in_u.  So when a table
+  fails, a nested pair joined by a chain of covering pairs (y, y | {a})
+  that hold is proven too, and so is (u, u) for a row with unit mass on
+  u.  Only the nested pairs left unproven are tested directly, and only
+  the sub-events of a failing pair whose integer cross-products differ
+  are worded with ``Fraction``s.  The ``cps`` and ``treelike`` levels
+  test every nested pair: their tables are mostly forests, whose nested
+  pairs are few, and there setting up the proofs costs more than the
+  tests it saves.
 
 The shortcuts and the forward map run on integer rows: each row's
 ``StdMeasure.int_row``, its masses as integers over one denominator,
@@ -194,9 +222,85 @@ def _nested_pairs(space: PopperSpace):
     return [(x, u) for u in stored for x in stored if x <= u]
 
 
-def _covering_pairs(space: PopperSpace):
+def _peeled_levels(space: PopperSpace, rows: dict):
+    """``(W_k, S_k)`` for the levels peeled off a table with CP1.
+
+    W_0 is the space, S_k the support of W_k's integer row, and
+    W_{k+1} = W_k - S_k while that remainder is in the family.
+    """
+    fam = space.family()
+    out = []
+    level = space.algebra.full_event()
+    while level in fam:
+        masses = rows[level][0]
+        support = frozenset(a for a in level if masses[a])
+        out.append((level, support))
+        level -= support
+    return out
+
+
+def _peel_tests(space: PopperSpace, rows: dict) -> dict:
+    """``{x: (k, holds)}`` for each member x: the index k of the first
+    peeled level whose support meets x (None when none does), and whether
+    the chain rule holds on (x, W_k)."""
+    levels = _peeled_levels(space, rows)
+    out = {}
+    for x in space.conditioning_events:
+        k = next((k for k, (_, support) in enumerate(levels) if not support.isdisjoint(x)), None)
+        out[x] = (k, k is not None and _chain_rule_on_atoms(rows, x, levels[k][0]))
+    return out
+
+
+def _unproven_pairs(space: PopperSpace, rows: dict, peel):
+    """The nested pairs of stored events, u then x in family order, that
+    no composition of holding pairs proves.
+
+    Events are bits in family order.  ``suspect[j]`` holds the events x
+    whose pair with event j the peeled levels do not prove: all of them,
+    unless the peel ran (``peel`` from :func:`_peel_tests`) and event j's
+    test held, and then those whose test failed at the same level.
+    ``below[j]`` holds the events from which a chain of holding covering
+    pairs leads to event j.  The pair (u, u) is proven by unit mass of u's
+    row on u.
+    """
+    stored = [u for u in space.conditioning_events if u in space.table]
+    index = {u: i for i, u in enumerate(stored)}
     full = space.algebra.full_event()
-    return [(x, x | {a}) for x in space.conditioning_events for a in full - x]
+    suspect = [(1 << len(stored)) - 1] * len(stored)
+    if peel is not None:
+        failed = {}
+        for i, x in enumerate(stored):
+            k, holds = peel[x]
+            if not holds:
+                failed[k] = failed.get(k, 0) | 1 << i
+        for j, u in enumerate(stored):
+            k, holds = peel[u]
+            if holds:
+                suspect[j] = failed.get(k, 0)
+    below = [0] * len(stored)
+    # Ascending size: every chain into x is complete before x is left.
+    for i in sorted(range(len(stored)), key=lambda i: len(stored[i])):
+        x = stored[i]
+        for a in full - x:
+            j = index.get(x | {a})
+            if j is not None and (
+                not suspect[j] >> i & 1 or _chain_rule_on_atoms(rows, x, stored[j])
+            ):
+                below[j] |= below[i] | 1 << i
+    missing = {a: sum(1 << i for i, u in enumerate(stored) if a not in u) for a in full}
+    out = []
+    for j, u in enumerate(stored):
+        todo = suspect[j] & ~below[j]
+        for a in full - u:
+            todo &= missing[a]
+        masses, den = rows[u]
+        if sum(masses[a] for a in u) == den:
+            todo &= ~(1 << j)
+        while todo:
+            low = todo & -todo
+            out.append((stored[low.bit_length() - 1], u))
+            todo ^= low
+    return out
 
 
 def _cp3_findings(space: PopperSpace, rows: dict, pairs):
@@ -204,17 +308,27 @@ def _cp3_findings(space: PopperSpace, rows: dict, pairs):
     for x, u in pairs:
         if _chain_rule_on_atoms(rows, x, u):
             continue
+        (u_mass, _), (x_mass, x_den) = rows[u], rows[x]
+        x_in_u = sum(u_mass[a] for a in x)
         x_given_u = space.conditional(x, u)
         refuse_over_limit(f"listing the CP3 findings on {sorted(x)}", 2 ** len(x))
-        for v_tuple in subsets(sorted(x)):
+        atoms = sorted(x)
+        # The two sides below differ exactly when the atoms' integer
+        # defects u_mass[a] * X - x_mass[a] * x_in_u sum to nonzero over v.
+        defects = [0]
+        for a in atoms:
+            d = u_mass[a] * x_den - x_mass[a] * x_in_u
+            defects += [s + d for s in defects]
+        for v_tuple, defect in zip(subsets(atoms), defects):
+            if not defect:
+                continue
             v = frozenset(v_tuple)
             lhs = space.conditional(v, u)
             rhs = space.conditional(v, x) * x_given_u
-            if lhs != rhs:
-                out.append(
-                    f"CP3: mu({sorted(v)}|{sorted(u)}) = {lhs} but "
-                    f"mu({sorted(v)}|{sorted(x)}) * mu({sorted(x)}|{sorted(u)}) = {rhs}"
-                )
+            out.append(
+                f"CP3: mu({sorted(v)}|{sorted(u)}) = {lhs} but "
+                f"mu({sorted(v)}|{sorted(x)}) * mu({sorted(x)}|{sorted(u)}) = {rhs}"
+            )
     return out
 
 
@@ -287,13 +401,14 @@ def validate_popper(space: PopperSpace, level: str = "popper") -> ValidationRepo
         return ValidationReport(tuple(findings))
     if level == "popper":
         closure = _popper_closure_findings(space)
-        # Covering pairs stand for all nested pairs only on a closed family
-        # with CP1 and no other finding.
-        if not findings and not closure and all(
-            _chain_rule_on_atoms(rows, x, u) for x, u in _covering_pairs(space)
-        ):
-            return ValidationReport(())
-        findings += _cp3_findings(space, rows, _nested_pairs(space))
+        # The peeled levels stand for all nested pairs only on a closed
+        # family with CP1 and no other finding.
+        peel = None
+        if not findings and not closure:
+            peel = _peel_tests(space, rows)
+            if all(holds for _, holds in peel.values()):
+                return ValidationReport(())
+        findings += _cp3_findings(space, rows, _unproven_pairs(space, rows, peel))
         findings += closure
     else:
         findings += _cp3_findings(space, rows, _nested_pairs(space))
@@ -348,18 +463,8 @@ def popper_to_slps(space: PopperSpace) -> LPS:
     full = space.algebra.full_event()
     if full not in space.family():
         raise InvalidPopperSpaceError("conditioning family does not contain the space")
-    measures = []
-    covered = frozenset()
-    current = full
-    while True:
-        peeled = space.table[current].support()
-        measures.append(space.table[peeled])
-        covered |= peeled
-        remainder = full - covered
-        if remainder not in space.family():
-            break
-        current = remainder
-    return LPS(space.algebra, tuple(measures))
+    levels = _peeled_levels(space, _integer_rows(space))
+    return LPS(space.algebra, tuple(space.table[support] for _, support in levels))
 
 
 def treelike_to_lps(space: PopperSpace) -> LPS:

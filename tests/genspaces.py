@@ -9,7 +9,7 @@ from extprob.field import EPS, ONE, ZERO, eps_power
 from extprob.fincof import FinCofEvent
 from extprob.lps import LPS, reduce_lps
 from extprob.npsbridge import geometric_schedule, lps_to_nps, nps_to_lps, steep_schedule
-from extprob.popper import PopperSpace
+from extprob.popper import PopperSpace, slps_to_popper
 from extprob.spaces import NonstdMeasure, RandomVariable, SpaceAlgebra, StdMeasure, subsets
 
 F = Fraction
@@ -305,6 +305,52 @@ def random_treelike_space(rng, algebra, max_depth=3):
     for root in roots:
         fill(root)
     return PopperSpace(algebra, tuple(table), table)
+
+
+def damaged_table(rng, space, defects):
+    """``space`` with ``defects`` defects, each on a random stored row:
+    mass moved between two atoms of its event (CP1 kept, so only the chain
+    rule can fail), a negative mass, the row halved, the row dropped from
+    the table, or the event dropped from the family and the table."""
+    events = list(space.conditioning_events)
+    table = dict(space.table)
+    for _ in range(defects):
+        stored = [u for u in events if u in table]
+        if not stored:
+            break
+        u = rng.choice(stored)
+        mass = list(table[u].mass)
+        inside = sorted(u)
+        kind = rng.choice(("move", "move", "move", "negative", "halve", "drop row", "drop event"))
+        if kind in ("move", "negative") and len(inside) > 1:
+            a = rng.choice([c for c in inside if mass[c] > 0] or inside)
+            b = rng.choice([c for c in inside if c != a])
+            moved = mass[a] * F(rng.randint(1, 3), 4) if kind == "move" else F(1)
+            mass[a] -= moved
+            mass[b] += moved
+            table[u] = StdMeasure(space.algebra, tuple(mass))
+        elif kind in ("move", "negative", "halve"):
+            table[u] = StdMeasure(space.algebra, tuple(m / 2 for m in mass))
+        else:
+            del table[u]
+            if kind == "drop event":
+                events.remove(u)
+    return PopperSpace(space.algebra, tuple(events), table)
+
+
+def popper_table_draw(rng, n):
+    """A conditional table on ``n`` atoms: the empty family, a forward-map
+    image or a treelike space, with up to three defects from
+    :func:`damaged_table` (none in two draws of five)."""
+    algebra = algebra_of(n)
+    draw = rng.random()
+    if draw < 0.03:
+        space = PopperSpace(algebra, (), {})
+    elif draw < 0.75:
+        space = slps_to_popper(rng.choice((random_slps, covering_slps))(rng, algebra))
+    else:
+        space = random_treelike_space(rng, algebra)
+    return damaged_table(rng, space, rng.choice((0, 0, 1, 2, 3)))
 
 
 def _subsets(items):

@@ -16,7 +16,15 @@ from extprob.jsonio import RATIONAL_MAX_DIGITS, ParseError
 from extprob.field import ONE, ZERO, NonstdNumber, st_ratio
 from extprob.lps import LPS, EquivCertificate, _restrict, _split_witness, equivalence
 from extprob.npsbridge import Decomposition, nps_to_lps
-from extprob.popper import PopperSpace, _treelike_findings
+from extprob.popper import (
+    PopperSpace,
+    _chain_rule_on_atoms,
+    _cp_findings,
+    _integer_rows,
+    _nested_pairs,
+    _popper_closure_findings as _closure_by_shortcuts,
+    _treelike_findings,
+)
 from extprob.spaces import (
     NonstdMeasure,
     StdMeasure,
@@ -146,6 +154,55 @@ def popper_findings(space, level):
         findings += _popper_closure_findings(space)
     elif level == "treelike":
         findings += _treelike_findings(space)
+    return findings
+
+
+def _cp3_findings_by_fractions(space, rows, pairs):
+    out = []
+    for x, u in pairs:
+        if _chain_rule_on_atoms(rows, x, u):
+            continue
+        x_given_u = space.conditional(x, u)
+        refuse_over_limit(f"listing the CP3 findings on {sorted(x)}", 2 ** len(x))
+        for v_tuple in subsets(sorted(x)):
+            v = frozenset(v_tuple)
+            lhs = space.conditional(v, u)
+            rhs = space.conditional(v, x) * x_given_u
+            if lhs != rhs:
+                out.append(
+                    f"CP3: mu({sorted(v)}|{sorted(u)}) = {lhs} but "
+                    f"mu({sorted(v)}|{sorted(x)}) * mu({sorted(x)}|{sorted(u)}) = {rhs}"
+                )
+    return out
+
+
+def validate_popper_by_covering_pairs(space, level):
+    """Findings of ``validate_popper`` by its earlier route: at the popper
+    level the chain rule on every covering pair (x, x | {a}) stands for a
+    closed family with CP1 and no other finding, and otherwise every nested
+    pair is tested, each failing one worded sub-event by sub-event on
+    ``Fraction``s."""
+    findings = algebra_findings(space.algebra)
+    if findings:
+        return findings
+    rows = _integer_rows(space)
+    findings = _cp_findings(space, rows)
+    if rows is None:
+        return findings
+    if level == "popper":
+        closure = _closure_by_shortcuts(space)
+        full = space.algebra.full_event()
+        covering = [(x, x | {a}) for x in space.conditioning_events for a in full - x]
+        if not findings and not closure and all(
+            _chain_rule_on_atoms(rows, x, u) for x, u in covering
+        ):
+            return []
+        findings += _cp3_findings_by_fractions(space, rows, _nested_pairs(space))
+        findings += closure
+    else:
+        findings += _cp3_findings_by_fractions(space, rows, _nested_pairs(space))
+        if level == "treelike":
+            findings += _treelike_findings(space)
     return findings
 
 

@@ -88,7 +88,7 @@ DIGESTS = {
     "findings": "d52794e7f4c137b077f9a329220c53ec13965fa0d67a558377deee12faa68896",
     "expectations": "e7153b2590d0806664e674f34b88432fe5168b1f5a63999af55cb2e2d707b28c",
     "popper_images": "ef29a14ff1900f9b03f145c60644f623d0a15a9de71ffe579869d983b50bf1e9",
-    "cli_light": "1d7ff652d9635c36ad4e78db428efa77660138f448f8e52ce7db76ee85c0d99a",
+    "cli_light": "c77d1ee4b7f4a6f7f4d48e79d88cfb5454af47627eee32a8dd6e05a764b1c0b7",
     "help": "ce7be4bfe1dcf2b5fa48d0b8de195bc86f13be2307e80190ddf70fd72557279c",
     "indep": "490c08b4030e47828cbdbd85291bd70fe00f55ce6f9f9cfbb48456525d313fb3",
     "parsed": "9d118dca93f77be4e26ff4b6fefe16b1754ccece68f2c9164e1e85f524e23996",

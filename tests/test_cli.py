@@ -393,10 +393,13 @@ class TestMalformedInput:
         ("kr-seq", {"measures": [(1, 0)]}, "w.json: measures[0]: built on a different algebra"),
         ("bbd-nps", {"measure": [ONE, ZERO]}, "w.json: measures[0]: built on a different algebra"),
         ("bbd-r", {"weights": [["1/2"], ["2"]]}, "w.json: mixing weight 2 outside (0, 1)"),
+        ("kr-seq", {"measures": []}, "w.json: the witness lists no measures"),
+        ("bbd-r", {"weights": []}, "w.json: the witness lists no weights"),
     ])
     def test_malformed_witness(self, tmp_path, capsys, kind, witness, message):
-        """Witness measures are validated on the target's space, and mixing
-        weights must lie strictly between 0 and 1."""
+        """Witness measures are validated on the target's space, mixing
+        weights must lie strictly between 0 and 1, and an empty list is no
+        witness."""
         if "measure" in witness:
             masses = witness["measure"]
             space = self.GRID if len(masses) == 4 else AB
@@ -421,16 +424,30 @@ class TestMalformedInput:
             "target.json: measures[0]: negative mass -1 at atom 1\n"
         )
 
-    @pytest.mark.parametrize("kind", ["weak", "nps-weak"])
+    def test_malformed_table_target(self, tmp_path, capsys):
+        """A conditional-space target is validated at the cps level."""
+        target = PopperSpace.from_rows(self.GRID, {(0, 1, 2, 3): (2, -1, 0, 0)})
+        witness = {"measures": [jsonio.encode(StdMeasure.from_values(self.GRID, [F(1, 4)] * 4))]}
+        argv = self.witness_args(tmp_path, "kr-seq", witness, target=target)
+        assert self.run_bad(argv, capsys).endswith(
+            "target.json: conditional given [0, 1, 2, 3]: negative mass -1 at atom 1\n"
+        )
+
+    @pytest.mark.parametrize("kind", ["weak", "nps-weak", "popper-weak"])
     def test_believe_checks_its_model(self, tmp_path, capsys, kind):
-        """Systems and measures are validated; conditional spaces are not."""
+        """Systems and measures are validated, and conditional spaces at the
+        cps level."""
+        where = "measures[0]"
         if kind == "weak":
             model = LPS(AB, (StdMeasure.from_values(AB, [2, -1]),))
-        else:
+        elif kind == "nps-weak":
             model = NonstdMeasure(AB, (ONE * 2, -ONE))
+        else:
+            model = PopperSpace.from_rows(self.GRID, {(0, 1, 2, 3): (2, -1, 0, 0)})
+            where = "conditional given [0, 1, 2, 3]"
         path = write(tmp_path, "model.json", model)
         err = self.run_bad(["believe", "--model", path, "--event", "0", "--kind", kind], capsys)
-        assert err == f"{path}: measures[0]: negative mass -1 at atom 1\n"
+        assert err == f"{path}: {where}: negative mass -1 at atom 1\n"
 
     def test_conditioning_events_not_a_list(self, tmp_path, capsys):
         doc = jsonio.encode(nps_to_popper(NonstdMeasure.from_values(AB, [ONE - EPS, EPS])))

@@ -5,9 +5,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from genspaces import algebra_of, covering_slps, random_row, random_treelike_space
+from genspaces import algebra_of, covering_slps, popper_table_draw, random_row, random_treelike_space
 from genspaces import random_slps as draw_slps
-from oracles import popper_findings, slps_to_popper_by_condition, treelike_levels
+from oracles import (
+    popper_findings,
+    slps_to_popper_by_condition,
+    treelike_levels,
+    validate_popper_by_covering_pairs,
+)
 
 from extprob.errors import (
     InvalidPopperSpaceError,
@@ -15,6 +20,7 @@ from extprob.errors import (
     NotTreelikeError,
     SizeLimitError,
 )
+from extprob import popper
 from extprob.lps import LPS, classify_lps
 from extprob.popper import (
     PopperSpace,
@@ -236,6 +242,103 @@ def test_validation_matches_exhaustive_oracle():
                 verdicts[level].add(not got)
     assert tables >= 400
     assert all(seen == {True, False} for seen in verdicts.values())
+
+
+def test_validation_matches_covering_pair_route():
+    """Findings, text and order, equal those of the covering-pair shortcut
+    with a scan of every nested pair, at all three levels."""
+    rng = random.Random(43)
+    popper_valid = {True: 0, False: 0}
+    chain_rule_only = 0
+    for _ in range(2000):
+        space = popper_table_draw(rng, rng.choice((1, 2, 3, 4, 5) * 9 + (6,) * 3 + (7,) * 2))
+        for level in ("cps", "popper", "treelike"):
+            got = list(validate_popper(space, level).findings)
+            assert got == validate_popper_by_covering_pairs(space, level)
+            if level == "popper":
+                popper_valid[not got] += 1
+                chain_rule_only += bool(got) and all(f.startswith("CP3") for f in got)
+    assert min(popper_valid.values()) >= 400, popper_valid
+    assert chain_rule_only >= 60, chain_rule_only
+
+
+def test_unproven_nested_pair_is_tested_directly(monkeypatch):
+    """([0, 1], space) holds, but both covering paths to it pass a row of
+    [0, 1, 2] or [0, 1, 3] that breaks the chain rule with mass moved
+    inside its event.  The family lacks [3], so it is not closed and the
+    peeled levels prove nothing: the pair is tested directly."""
+    rows = {
+        tuple(sorted(u)): tuple(F(1, len(u)) if a in u else 0 for a in range(4))
+        for u in W4.events() if u != {3}
+    }
+    rows[(0, 1, 2)] = (F(1, 6), F(1, 2), F(1, 3), 0)
+    rows[(0, 1, 3)] = (F(1, 2), F(1, 6), 0, F(1, 3))
+    space = PopperSpace.from_rows(W4, rows)
+    tested = {}
+    test = popper._chain_rule_on_atoms
+
+    def recorded(int_rows, x, u):
+        tested[x, u] = test(int_rows, x, u)
+        return tested[x, u]
+
+    monkeypatch.setattr(popper, "_chain_rule_on_atoms", recorded)
+    findings = list(validate_popper(space, "popper").findings)
+    assert tested[W4.event({0, 1}), W4.full_event()] is True
+    assert findings == validate_popper_by_covering_pairs(space, "popper")
+    named = {f.split(" * ")[1].split(" = ")[0] for f in findings if f.startswith("CP3")}
+    for path in ("[0, 1]|[0, 1, 2]", "[0, 1, 2]|[0, 1, 2, 3]", "[0, 1]|[0, 1, 3]", "[0, 1, 3]|[0, 1, 2, 3]"):
+        assert f"mu({path})" in named
+    assert "mu([0, 1]|[0, 1, 2, 3])" not in named
+
+
+class TestChainRuleTests:
+    """Calls of the chain-rule test per validation at the popper level."""
+
+    SPACE = algebra_of(7)
+    LEVELS = (
+        (F(1, 6), F(1, 3), F(1, 2), 0, 0, 0, 0),
+        (0, 0, 0, F(1, 4), F(3, 4), 0, 0),
+        (0, 0, 0, 0, 0, F(2, 5), F(3, 5)),
+    )
+
+    def counted(self, monkeypatch, space):
+        calls = []
+        test = popper._chain_rule_on_atoms
+
+        def counted_test(rows, x, u):
+            calls.append((x, u))
+            return test(rows, x, u)
+
+        monkeypatch.setattr(popper, "_chain_rule_on_atoms", counted_test)
+        report = validate_popper(space, "popper")
+        return report, calls
+
+    def test_one_test_per_event_on_a_valid_table(self, monkeypatch):
+        image = slps_to_popper(lps(self.SPACE, *self.LEVELS))
+        report, calls = self.counted(monkeypatch, image)
+        assert report.is_valid
+        assert len(image.conditioning_events) == 127
+        assert sorted(x for x, _ in calls) == sorted(image.conditioning_events)
+
+    @pytest.mark.parametrize("row", [
+        # Mass moved inside the event: CP1 holds, the peeled levels run.
+        (F(1, 3), F(1, 6), F(1, 2), 0, 0, 0, 0),
+        # Halved: CP1 fails, so only chains of covering pairs prove pairs.
+        (F(1, 12), F(1, 6), F(1, 4), 0, 0, 0, 0),
+    ], ids=["moved", "halved"])
+    def test_broken_row_costs_covering_and_touching_pairs(self, monkeypatch, row):
+        image = slps_to_popper(lps(self.SPACE, *self.LEVELS))
+        broken = self.SPACE.event({0, 1, 2})
+        table = dict(image.table)
+        table[broken] = StdMeasure(self.SPACE, row)
+        space = PopperSpace(self.SPACE, image.conditioning_events, table)
+        report, calls = self.counted(monkeypatch, space)
+        assert list(report.findings) == validate_popper_by_covering_pairs(space, "popper")
+        fam = set(space.conditioning_events)
+        covering = sum(1 for x in fam for a in range(7) if a not in x and x | {a} in fam)
+        touching = sum(1 for u in fam for x in fam if x <= u and broken in (x, u))
+        assert (covering, touching) == (441, 22)
+        assert len(calls) <= covering + touching
 
 
 class TestSlpsToPopper:
