@@ -42,21 +42,12 @@ and order of the exhaustive check:
     there, mu(x|u) = 0, and both sides of the chain rule vanish.
   So |F| tests stand for every nested pair of the family F.  When some
   test fails, the same two cases still prove each pair (x, u) whose u
-  passed, unless x failed at u's level.
-- Composition: on integer rows, the chain rule on (x, y) and on (y, u)
-  gives it on (x, u), whatever the rows hold beyond a positive
-  denominator of y: u_mass[a] * Y = y_mass[a] * y_in_u and
-  y_mass[a] * X = x_mass[a] * x_in_y give u_mass[a] * X * Y =
-  x_mass[a] * x_in_y * y_in_u = x_mass[a] * x_in_u * Y, since summing
-  the first over x gives x_in_u * Y = x_in_y * y_in_u.  So when a table
-  fails, a nested pair joined by a chain of covering pairs (y, y | {a})
-  that hold is proven too, and so is (u, u) for a row with unit mass on
-  u.  Only the nested pairs left unproven are tested directly, and only
-  the sub-events of a failing pair whose integer cross-products differ
-  are worded with ``Fraction``s.  The ``cps`` and ``treelike`` levels
-  test every nested pair: their tables are mostly forests, whose nested
-  pairs are few, and there setting up the proofs costs more than the
-  tests it saves.
+  passed, unless x failed at u's level, and (u, u) holds by CP1.  Only
+  the nested pairs left unproven are tested directly, and only the
+  sub-events of a failing pair whose integer cross-products differ are
+  worded with ``Fraction``s.  The ``cps`` and ``treelike`` levels, and
+  the ``popper`` level on a table with some other finding, test every
+  nested pair.
 
 The shortcuts and the forward map run on integer rows: each row's
 ``StdMeasure.int_row``, its masses as integers over one denominator,
@@ -241,65 +232,30 @@ def _peeled_levels(space: PopperSpace, rows: dict):
 
 def _peel_tests(space: PopperSpace, rows: dict) -> dict:
     """``{x: (k, holds)}`` for each member x: the index k of the first
-    peeled level whose support meets x (None when none does), and whether
-    the chain rule holds on (x, W_k)."""
+    peeled level whose support meets x, and whether the chain rule holds
+    on (x, W_k)."""
     levels = _peeled_levels(space, rows)
     out = {}
     for x in space.conditioning_events:
-        k = next((k for k, (_, support) in enumerate(levels) if not support.isdisjoint(x)), None)
-        out[x] = (k, k is not None and _chain_rule_on_atoms(rows, x, levels[k][0]))
+        k = next(k for k, (_, support) in enumerate(levels) if not support.isdisjoint(x))
+        out[x] = (k, _chain_rule_on_atoms(rows, x, levels[k][0]))
     return out
 
 
-def _unproven_pairs(space: PopperSpace, rows: dict, peel):
-    """The nested pairs of stored events, u then x in family order, that
-    no composition of holding pairs proves.
-
-    Events are bits in family order.  ``suspect[j]`` holds the events x
-    whose pair with event j the peeled levels do not prove: all of them,
-    unless the peel ran (``peel`` from :func:`_peel_tests`) and event j's
-    test held, and then those whose test failed at the same level.
-    ``below[j]`` holds the events from which a chain of holding covering
-    pairs leads to event j.  The pair (u, u) is proven by unit mass of u's
-    row on u.
-    """
-    stored = [u for u in space.conditioning_events if u in space.table]
-    index = {u: i for i, u in enumerate(stored)}
-    full = space.algebra.full_event()
-    suspect = [(1 << len(stored)) - 1] * len(stored)
-    if peel is not None:
-        failed = {}
-        for i, x in enumerate(stored):
-            k, holds = peel[x]
-            if not holds:
-                failed[k] = failed.get(k, 0) | 1 << i
-        for j, u in enumerate(stored):
-            k, holds = peel[u]
-            if holds:
-                suspect[j] = failed.get(k, 0)
-    below = [0] * len(stored)
-    # Ascending size: every chain into x is complete before x is left.
-    for i in sorted(range(len(stored)), key=lambda i: len(stored[i])):
-        x = stored[i]
-        for a in full - x:
-            j = index.get(x | {a})
-            if j is not None and (
-                not suspect[j] >> i & 1 or _chain_rule_on_atoms(rows, x, stored[j])
-            ):
-                below[j] |= below[i] | 1 << i
-    missing = {a: sum(1 << i for i, u in enumerate(stored) if a not in u) for a in full}
+def _unproven_pairs(space: PopperSpace, peel: dict):
+    """The nested pairs (x, u), x != u, u then x in family order, that the
+    tests in ``peel`` (from :func:`_peel_tests`) do not prove: every x
+    below a u whose test failed, and below a u whose test held, each x
+    whose test failed at u's level."""
+    fam = space.conditioning_events
+    failed = [x for x in fam if not peel[x][1]]
     out = []
-    for j, u in enumerate(stored):
-        todo = suspect[j] & ~below[j]
-        for a in full - u:
-            todo &= missing[a]
-        masses, den = rows[u]
-        if sum(masses[a] for a in u) == den:
-            todo &= ~(1 << j)
-        while todo:
-            low = todo & -todo
-            out.append((stored[low.bit_length() - 1], u))
-            todo ^= low
+    for u in fam:
+        k, holds = peel[u]
+        if holds:
+            out += [(x, u) for x in failed if x < u and peel[x][0] == k]
+        else:
+            out += [(x, u) for x in fam if x < u]
     return out
 
 
@@ -403,12 +359,14 @@ def validate_popper(space: PopperSpace, level: str = "popper") -> ValidationRepo
         closure = _popper_closure_findings(space)
         # The peeled levels stand for all nested pairs only on a closed
         # family with CP1 and no other finding.
-        peel = None
-        if not findings and not closure:
+        if findings or closure:
+            pairs = _nested_pairs(space)
+        else:
             peel = _peel_tests(space, rows)
             if all(holds for _, holds in peel.values()):
                 return ValidationReport(())
-        findings += _cp3_findings(space, rows, _unproven_pairs(space, rows, peel))
+            pairs = _unproven_pairs(space, peel)
+        findings += _cp3_findings(space, rows, pairs)
         findings += closure
     else:
         findings += _cp3_findings(space, rows, _nested_pairs(space))
