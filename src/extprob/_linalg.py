@@ -1,16 +1,22 @@
-"""Small exact linear-algebra routines over the rationals.
+"""Small exact linear-algebra routines on integer rows.
 
-Vectors are tuples of Fractions (ints are accepted too); matrices are lists
-of row tuples.  Only the handful of operations the equivalence machinery
-needs: span membership with coefficients (for many targets in one
-elimination), the columns independent of those before them, and
-null-space bases.
+A rational vector is passed as an integer row ``(ints, den)``, standing
+for ``ints[i] / den`` with ``den`` nonzero; matrices are lists of such
+rows.  Only the handful of operations the equivalence machinery needs:
+span membership with coefficients (for many targets in one elimination),
+the pivot columns of a matrix, and null-space bases.
 
-Elimination runs on integers: each row is scaled by the lcm of its
-denominators, rows are combined with integer multipliers and divided by
-the gcd of their entries, and the pivot rows are divided by their pivots
-only at the end.  The reduced row echelon form is unique, so the results
-are the same ``Fraction`` values a Gauss-Jordan over Fractions gives.
+Elimination is fraction-free: rows are combined with integer multipliers
+and divided by the gcd of their entries, so every entry stays an integer
+(integer-preserving elimination, as in E. H. Bareiss, "Sylvester's
+identity and multistep integer-preserving Gaussian elimination", Math.
+Comp. 22, 1968, with the common factor taken out by a gcd rather than by
+the previous pivot).  Scaling a row or a column by a nonzero number does
+not move the pivot columns, so a system's denominators are taken out
+before it is eliminated and put back into each result entry.  A
+coefficient of a solution is built as one ``Fraction`` from its reduced
+row and pivot; the reduced row echelon form is unique, so the results are
+the ``Fraction`` values a Gauss-Jordan over Fractions gives.
 """
 
 from __future__ import annotations
@@ -32,19 +38,18 @@ def _primitive(row):
     return [x // g for x in row] if g > 1 else row
 
 
-def _eliminate(mat, ncols):
-    """Integer Gauss-Jordan on the rational rows ``mat`` in place over
-    their first ``ncols`` columns.
+def eliminate(mat, ncols):
+    """Integer Gauss-Jordan on the integer rows ``mat`` (lists) in place
+    over their first ``ncols`` columns.
 
-    Each row is first scaled to primitive integers.  Columns are taken
-    left to right, each pivoting on the first nonzero row at or below the
-    current one.  Returns the pivot columns; every row is left as a
-    primitive integer row, row i a multiple of row i of the reduced
-    matrix, and the rows below the pivots zero in the first ``ncols``
-    columns.
+    Each row is first made primitive.  Columns are taken left to right,
+    each pivoting on the first nonzero row at or below the current one.
+    Returns the pivot columns; every row is left as a primitive integer
+    row, row i a multiple of row i of the reduced matrix, and the rows
+    below the pivots zero in the first ``ncols`` columns.
     """
     for i, row in enumerate(mat):
-        mat[i] = _primitive(scaled_row(row)[0])
+        mat[i] = _primitive(row)
     piv_cols = []
     for col in range(ncols):
         r = len(piv_cols)
@@ -66,68 +71,67 @@ def _eliminate(mat, ncols):
     return piv_cols
 
 
-def _reduce(mat, ncols):
-    """Gauss-Jordan on ``mat`` in place over its first ``ncols`` columns.
-
-    As :func:`_eliminate`, with pivot row i then divided by its pivot: row
-    i of the reduced matrix, as Fractions with a 1 in its pivot column.
-    The other rows are left as integer rows, zero in the first ``ncols``
-    columns.
-    """
-    piv_cols = _eliminate(mat, ncols)
-    for r, col in enumerate(piv_cols):
-        p = mat[r][col]
-        mat[r] = [Fraction(x, p) for x in mat[r]]
-    return piv_cols
-
-
-def independent_columns(mat, ncols):
-    """The columns among the first ``ncols`` of the rows ``mat`` that are
-    not in the span of the columns before them: the pivot columns."""
-    return _eliminate(list(mat), ncols)
-
-
 def solve_combinations(rows, targets):
-    """For each target, coefficients c with sum(c[i] * rows[i]) == target,
-    or None; one elimination serves every target.
+    """For each integer row ``target``, coefficients c with
+    ``sum(c[i] * rows[i]) == target`` as rationals, or None; one
+    elimination serves every target.
 
-    ``rows`` may be linearly dependent; any exact solution is returned, with
-    the free coefficients at zero.  The reduced row echelon form is unique,
-    so each target gets the coefficients it would get alone.
+    ``rows`` may be linearly dependent; any exact solution is returned,
+    with the free coefficients at zero.  The reduced row echelon form is
+    unique, so each target gets the coefficients it would get alone.  With
+    ``rows[i] = (R_i, s_i)`` and ``target = (T, t)``, the integer system
+    ``sum(u_i * R_i) == T`` is solved, and ``c_i = u_i * s_i / t``: the
+    coefficient on pivot row r is ``Fraction(x * s_i, p * t)`` for the
+    entry x of the target's column and the pivot p.
     """
     if not rows:
-        return [[] if all(x == 0 for x in t) else None for t in targets]
+        return [[] if not any(t) else None for t, _ in targets]
     m = len(rows)
-    # Augmented system A^T C = T, A^T is n x m.
-    aug = [[row[i] for row in rows] + [t[i] for t in targets] for i in range(len(rows[0]))]
-    piv_cols = _reduce(aug, m)
+    # Augmented system R^T U = T, R^T is n x m.
+    aug = [
+        [r[a] for r, _ in rows] + [t[a] for t, _ in targets] for a in range(len(rows[0][0]))
+    ]
+    piv_cols = eliminate(aug, m)
     rank = len(piv_cols)
+    zero = Fraction(0)
     out = []
-    for k in range(m, m + len(targets)):
-        if any(row[k] != 0 for row in aug[rank:]):
+    for k, (_, t) in enumerate(targets, start=m):
+        if any(row[k] for row in aug[rank:]):
             out.append(None)
             continue
-        coeffs = [Fraction(0)] * m
-        for row, col in enumerate(piv_cols):
-            coeffs[col] = aug[row][k]
+        coeffs = [zero] * m
+        for row, col in zip(aug, piv_cols):
+            if row[k]:
+                coeffs[col] = Fraction(row[k] * rows[col][1], row[col] * t)
         out.append(coeffs)
     return out
 
 
 def solve_combination(rows, target):
-    """Coefficients c with sum(c[i] * rows[i]) == target, or None."""
+    """Coefficients c with sum(c[i] * rows[i]) == target, or None, for
+    integer rows as in :func:`solve_combinations`."""
     return solve_combinations(rows, [target])[0]
 
 
 def nullspace_basis(rows, n):
-    """Basis of {z in Q^n : row . z == 0 for every row}."""
-    mat = [list(row) for row in rows if any(x != 0 for x in row)]
-    piv_cols = _reduce(mat, n)
+    """Basis of {z in Q^n : row . z == 0 for every row} as primitive
+    integer tuples.
+
+    The integer rows ``(ints, den)`` have the null space of their
+    ``ints``.  Vector k is a positive multiple of the k-th vector of the
+    reduced-echelon basis, the one that is 1 at the k-th non-pivot column
+    and 0 at the others.
+    """
+    mat = [list(r) for r, _ in rows if any(r)]
+    piv_cols = eliminate(mat, n)
     basis = []
     for fc in (c for c in range(n) if c not in piv_cols):
-        vec = [Fraction(0)] * n
-        vec[fc] = Fraction(1)
-        for row_idx, pc in enumerate(piv_cols):
-            vec[pc] = -mat[row_idx][fc]
-        basis.append(tuple(vec))
+        # Reduced row r is mat[r] / p_r: over the lcm L of the pivots the
+        # vector is L at fc and -mat[r][fc] * L / p_r at pivot column r.
+        lcm = math.lcm(*(abs(mat[r][pc]) for r, pc in enumerate(piv_cols) if mat[r][fc]))
+        vec = [0] * n
+        vec[fc] = lcm
+        for r, pc in enumerate(piv_cols):
+            vec[pc] = -mat[r][fc] * lcm // mat[r][pc]
+        basis.append(tuple(_primitive(vec)))
     return basis

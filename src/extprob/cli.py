@@ -230,7 +230,7 @@ def cmd_expect(args):
 def cmd_indep(args):
     if args.variant == "events":
         if args.mode == "popper":
-            _, model = _load(args.measure, ("popper_space",))
+            model = _load_table(args.measure)
         else:
             type_name, model = _load_measure(args.measure)
             if type_name != "nonstd_measure":

@@ -17,7 +17,9 @@ before it is returned.  The backward matrix is the inverse of the forward
 one, built by substitution on the triangle rather than by a second
 elimination, and the self-check reuses the two reductions the decision
 made; only the public ``EquivCertificate.verify`` reduces the systems
-again, from the certificate alone.
+again, from the certificate alone.  Reduction, decision and separation
+run on the levels' integer rows (``StdMeasure.int_row``); the matrix
+entries and the separating variables are the only ``Fraction``s made.
 """
 
 from __future__ import annotations
@@ -140,10 +142,12 @@ def reduce_lps(lps: LPS) -> LPS:
     the input.  One elimination on the transposed rows finds the kept
     levels: a level is in the span of the kept ones before it exactly when
     it is in the span of all the levels before it, that is, when its
-    column is not a pivot column.
+    column is not a pivot column.  The columns are the levels' integer
+    rows, since scaling a column by its denominator moves no pivot.
     """
-    columns = [[m.mass[a] for m in lps.measures] for a in range(lps.algebra.n_atoms)]
-    kept = _linalg.independent_columns(columns, len(lps.measures))
+    rows = [m.int_row[0] for m in lps.measures]
+    columns = [[row[a] for row in rows] for a in range(lps.algebra.n_atoms)]
+    kept = _linalg.eliminate(columns, len(rows))
     return LPS(lps.algebra, tuple(lps.measures[i] for i in kept))
 
 
@@ -219,8 +223,9 @@ def _triangular_coeffs(src_rows, dst_rows):
     """Lower-triangular rows expressing dst over src, and the first level
     at which that fails (None when no level does).
 
-    Row i must be a combination of src_rows[0..i] with a positive
-    coefficient on src_rows[i]; a level that only one family has fails.
+    The rows are integer rows ``(ints, den)``.  Row i must be a
+    combination of src_rows[0..i] with a positive coefficient on
+    src_rows[i]; a level that only one family has fails.
     The source rows are independent, so a level has at most one
     combination of all of them, and it is one of src_rows[0..i] exactly
     when it is zero above i; one elimination solves every level.
@@ -251,11 +256,9 @@ def _inverse(lower):
     return tuple(inv)
 
 
-def _restrict(functional, basis):
-    return tuple(
-        sum((functional[a] * vec[a] for a in range(len(functional))), Fraction(0))
-        for vec in basis
-    )
+def _restrict(ints, basis):
+    """The integer dot products of ``ints`` with each basis vector."""
+    return tuple(sum(x * v for x, v in zip(ints, vec)) for vec in basis)
 
 
 def _separate_at(rows_a, rows_b, i, n):
@@ -265,19 +268,25 @@ def _separate_at(rows_a, rows_b, i, n):
     On the null space of the rows below i, level i of the first family is
     solved to +1 and level i of the second to -1; when that has no
     solution, or one family has no level i, the one present level alone is
-    solved to +1 (first family) or -1 (second family).
+    solved to +1 (first family) or -1 (second family).  The rows are
+    integer rows ``(R, s)`` and the basis is integer, so level i of a
+    family restricts to the integers ``R . v`` over s: solving them for
+    ``s_a`` and ``-s_b`` is solving the levels for +1 and -1.
     """
     basis = _linalg.nullspace_basis(rows_a[:i] + rows_b[:i], n)
-    f = _restrict(rows_a[i], basis) if i < len(rows_a) else None
-    g = _restrict(rows_b[i], basis) if i < len(rows_b) else None
+    f = (_restrict(rows_a[i][0], basis), rows_a[i][1]) if i < len(rows_a) else None
+    g = (_restrict(rows_b[i][0], basis), -rows_b[i][1]) if i < len(rows_b) else None
     coords = None
     if f is not None and g is not None:
-        coords = _linalg.solve_combination(list(zip(f, g)), (Fraction(1), Fraction(-1)))
+        pairs = [(pair, 1) for pair in zip(f[0], g[0])]
+        coords = _linalg.solve_combination(pairs, ((f[1], g[1]), 1))
     if coords is None:
-        h, want = (f, Fraction(1)) if f is not None else (g, Fraction(-1))
-        coords = _linalg.solve_combination([(x,) for x in h], (want,))
+        h, want = f if f is not None else g
+        coords = _linalg.solve_combination([((x,), 1) for x in h], ((want,), 1))
+    den = math.lcm(*(c.denominator for c in coords))
+    weights = [c.numerator * (den // c.denominator) for c in coords]
     return tuple(
-        sum((c * vec[a] for c, vec in zip(coords, basis)), Fraction(0)) for a in range(n)
+        Fraction(sum(w * vec[a] for w, vec in zip(weights, basis)), den) for a in range(n)
     )
 
 
@@ -327,8 +336,8 @@ def certified_reduction(lps: LPS):
 
 def _decide(a: LPS, b: LPS, ra: LPS, rb: LPS) -> EquivCertificate:
     """:func:`equivalence` of ``a`` and ``b``, given their reductions."""
-    rows_a = [m.mass for m in ra.measures]
-    rows_b = [m.mass for m in rb.measures]
+    rows_a = [m.int_row for m in ra.measures]
+    rows_b = [m.int_row for m in rb.measures]
     forward, level = _triangular_coeffs(rows_a, rows_b)
     if level is None:
         cert = EquivCertificate(

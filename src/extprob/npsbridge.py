@@ -20,7 +20,10 @@ comparisons are then polynomial operations with no gcd, a standard part
 of a ratio is read off the numerators' lowest-order terms, and each field
 element is built once, at the end, from its numerator over ``D``.  The
 repair of a negative layer keeps a running cushion, the sum of the layers
-kept so far, updated once per level.
+kept so far, updated once per level.  Layers stay integer rows over an
+integer: the repair compares ratios by cross-multiplication, each layer
+becomes a measure through its integer row, and the weighted sum weights
+each level's integers.
 
 Two equivalence relations are decided here: the fine one (identical
 orderings of all random variables, decided through the decompositions and
@@ -89,9 +92,14 @@ def _compose(lps: LPS, coefficients) -> NonstdMeasure:
     (ValueError when the lengths differ)."""
     coeffs = [NonstdNumber.coerce(c) for c, _ in zip(coefficients, lps.measures, strict=True)]
     numerators, den = _over_one_denominator(coeffs)
-    levels = tuple(zip(numerators, (m.mass for m in lps.measures)))
+    # Level i is ints / s: its numerator is weighted by 1/s once, then by
+    # the level's integer at each atom.
+    levels = [
+        (c._scaled(1, s), ints)
+        for c, (ints, s) in zip(numerators, (m.int_row for m in lps.measures))
+    ]
     return NonstdMeasure(lps.algebra, tuple(
-        NonstdNumber._make(_combination([(c, mass[a]) for c, mass in levels if mass[a]]), den)
+        NonstdNumber._make(_combination([(c, ints[a]) for c, ints in levels if ints[a]]), den)
         for a in range(lps.algebra.n_atoms)
     ))
 
@@ -144,9 +152,9 @@ def _peel(residual, den, n_atoms):
             row_den //= g
         layers.append((row, row_den))
         scales.append(scale)
-        residual = [
-            r + scale.scale(Fraction(-x, row_den)) if x else r for r, x in zip(residual, row)
-        ]
+        # The residual loses scale * row / row_den, one combination per atom.
+        step = scale._scaled(1, row_den)
+        residual = [_combination([(r, 1), (step, -x)]) if x else r for r, x in zip(residual, row)]
         scale = _P_ZERO
         for r in residual:
             if r.coeffs and r.coeffs[0][1] < 0:
@@ -182,6 +190,30 @@ def _standard_layers(nu: NonstdMeasure):
     )
 
 
+def _shortfall(row, d, cushion, cushion_den):
+    """``(p, q)`` in lowest terms with q > 0: the largest of 0 and the
+    ratios ``(-x / d) / (c / cushion_den)`` over the negative entries x of
+    ``row`` and their cushion entries c, the share of the cushion that
+    repairs the layer ``row / d``.
+
+    The ratios are compared by integer cross-multiplication, each over a
+    positive denominator.  A negative entry over a zero cushion entry
+    raises the ``ZeroDivisionError`` its ``Fraction`` ratio raises.
+    """
+    p, q = 0, 1
+    for x, c in zip(row, cushion):
+        if x < 0:
+            if not c:
+                Fraction(-x, d) / 0  # raises ZeroDivisionError
+            num, den = -x * cushion_den, d * c
+            if den < 0:
+                num, den = -num, -den
+            if num * q > p * den:
+                p, q = num, den
+    g = math.gcd(p, q)
+    return p // g, q // g
+
+
 def nps_to_lps(nu: NonstdMeasure) -> Decomposition:
     """Exact decomposition of a measure into weighted standard layers.
 
@@ -197,19 +229,14 @@ def nps_to_lps(nu: NonstdMeasure) -> Decomposition:
     coeffs = [scales[0]]
     for (row, d), scale in zip(layers[1:], scales[1:]):
         # Repair negative entries with earlier layers, then renormalize.
-        shortfall = _ZERO_F
-        for x, c in zip(row, cushion):
-            if x < 0:
-                shortfall = max(shortfall, -Fraction(x, d) / Fraction(c, cushion_den))
-        if shortfall:
-            p, q = shortfall.numerator, shortfall.denominator
+        p, q = _shortfall(row, d, cushion, cushion_den)
+        if p:
             row = [x * q * cushion_den + p * c * d for x, c in zip(row, cushion)]
             d *= q * cushion_den
             coeffs = [c + scale._scaled(-p, q) for c in coeffs]
         t = sum(row)
-        total = Fraction(t, d)
         if not t:
-            Fraction(row[0], d) / total  # raises ZeroDivisionError
+            Fraction(row[0], d) / 0  # raises ZeroDivisionError
         measures.append(StdMeasure.from_int_row(nu.algebra, tuple(row), t))
         cushion = [c * t + x * cushion_den for c, x in zip(cushion, row)]
         cushion_den *= t
@@ -217,7 +244,8 @@ def nps_to_lps(nu: NonstdMeasure) -> Decomposition:
         if g > 1:
             cushion = [c // g for c in cushion]
             cushion_den //= g
-        coeffs.append(scale._scaled(total.numerator, total.denominator))
+        g = math.gcd(t, d) if d > 0 else -math.gcd(t, d)
+        coeffs.append(scale._scaled(t // g, d // g))
     return Decomposition(
         LPS(nu.algebra, tuple(measures)),
         tuple(NonstdNumber._make(c, den) for c in coeffs),

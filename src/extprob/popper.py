@@ -288,10 +288,21 @@ def _cp3_findings(space: PopperSpace, rows: dict, pairs):
     return out
 
 
-def _popper_closure_findings(space: PopperSpace):
+def _bitmask(ev: Event) -> int:
+    return sum(1 << a for a in ev)
+
+
+def _popper_closure_findings(space: PopperSpace, rows: dict):
+    """Closure findings, on the integer ``rows`` from :func:`_integer_rows`.
+
+    The one-atom and singleton shortcuts test events as bitmasks, bit a
+    for atom a; the findings of a family that fails one are worded by
+    listing its supersets or sub-events.
+    """
     fam = space.family()
     full = space.algebra.full_event()
-    closed = all(u | {a} in fam for u in fam for a in full - u)
+    masks = {_bitmask(u) for u in fam}
+    closed = all((m | 1 << a) in masks for m in masks for a in full)
     out = []
     for u in space.conditioning_events:
         if not closed:
@@ -302,10 +313,10 @@ def _popper_closure_findings(space: PopperSpace):
                     out.append(
                         f"closure: {sorted(u)} in family but superset {sorted(v)} is not"
                     )
-        row = space.table.get(u)
+        row = rows.get(u)
         if row is None:
             continue
-        if closed and all(frozenset({a}) in fam for a in u if row.mass[a] != 0):
+        if closed and all((1 << a) in masks for a in u if row[0][a]):
             continue
         refuse_over_limit(f"listing the sub-events of {sorted(u)}", 2 ** len(u))
         for v_tuple in subsets(sorted(u)):
@@ -356,7 +367,7 @@ def validate_popper(space: PopperSpace, level: str = "popper") -> ValidationRepo
         # each mass that is not a rational.
         return ValidationReport(tuple(findings))
     if level == "popper":
-        closure = _popper_closure_findings(space)
+        closure = _popper_closure_findings(space, rows)
         # The peeled levels stand for all nested pairs only on a closed
         # family with CP1 and no other finding.
         if findings or closure:

@@ -11,11 +11,15 @@ measure's memo of the event masses asked of it, and the integer row
 use.  A standard measure checks its invariants, sums events and takes
 expectations on that row, one ``Fraction`` per result; a row with a mass
 that is not an ``int`` or a ``Fraction`` has no integer row and keeps the
-``Fraction`` sums.
+``Fraction`` sums.  A standard measure built from an integer row
+(:meth:`StdMeasure.from_int_row`) keeps the row in lowest terms and makes
+its ``mass`` tuple when ``mass`` is first read; two rational measures are
+equal when their rows are.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -202,13 +206,40 @@ class StdMeasure(_MeasureBase):
     @classmethod
     def from_int_row(cls, algebra: SpaceAlgebra, ints: tuple, den: int) -> "StdMeasure":
         """The measure with masses ``ints[a] / den`` for a tuple of ints and
-        a nonzero int, its integer row given."""
+        a nonzero int.  It keeps the row in lowest terms and builds
+        ``mass`` when it is first read."""
+        g = math.gcd(den, *ints)
         if den < 0:
-            ints, den = tuple(-x for x in ints), -den
-        zero = cls._zero
-        measure = cls(algebra, tuple(Fraction(x, den) if x else zero for x in ints))
-        measure.__dict__["int_row"] = (ints, den)
+            g = -g
+        if g != 1:
+            ints, den = tuple(x // g for x in ints), den // g
+        measure = object.__new__(cls)
+        # Bypass the frozen __init__: ``mass`` stays unset until read.
+        measure.__dict__.update(algebra=algebra, _masses={}, int_row=(ints, den))
         return measure
+
+    @cached_property
+    def mass(self):
+        """The masses ``ints[a] / den`` of a measure built by
+        :meth:`from_int_row`; any other measure stores its masses."""
+        ints, den = self.int_row
+        zero = self._zero
+        return tuple(Fraction(x, den) if x else zero for x in ints)
+
+    def __eq__(self, other):
+        """Same algebra and masses.  Two rational rows are compared as
+        their integer rows, which are in lowest terms."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if self.algebra != other.algebra:
+            return False
+        row, other_row = self.int_row, other.int_row
+        if row is not None and other_row is not None:
+            return row == other_row
+        return self.mass == other.mass
+
+    def __hash__(self):
+        return hash((self.algebra, self.mass))
 
     @classmethod
     def uniform(cls, algebra: SpaceAlgebra) -> "StdMeasure":
@@ -220,7 +251,7 @@ class StdMeasure(_MeasureBase):
         """``(ints, den)`` with ``ints[a] / den == mass[a]`` and ``den > 0``,
         or None when a mass is not an ``int`` or a ``Fraction``.  Made on
         first use over the least common denominator, unless the measure
-        was built by :meth:`from_int_row`."""
+        was built by :meth:`from_int_row`; in lowest terms either way."""
         return _int_row(self.mass)
 
     def invariant_findings(self, where: str = "measure"):

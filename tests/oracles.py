@@ -10,11 +10,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from extprob import _linalg
 from extprob.errors import AlgebraMismatchError, LengthMismatchError, UnlimitedError
 from extprob.jsonio import RATIONAL_MAX_DIGITS, ParseError
 from extprob.field import ONE, ZERO, NonstdNumber, st_ratio
-from extprob.lps import LPS, EquivCertificate, _restrict, _split_witness, equivalence
+from extprob.lps import LPS, EquivCertificate, _split_witness, equivalence
 from extprob.npsbridge import Decomposition, nps_to_lps
 from extprob.popper import (
     PopperSpace,
@@ -22,7 +21,6 @@ from extprob.popper import (
     _cp_findings,
     _integer_rows,
     _nested_pairs,
-    _popper_closure_findings as _closure_by_shortcuts,
     _treelike_findings,
 )
 from extprob.spaces import (
@@ -141,6 +139,36 @@ def _popper_closure_findings(space):
     return out
 
 
+def _closure_by_frozensets(space):
+    """``popper._popper_closure_findings`` by its earlier route: the
+    one-atom and singleton shortcuts on a ``frozenset`` per (event, atom)
+    pair and on the ``Fraction`` masses."""
+    fam = space.family()
+    full = space.algebra.full_event()
+    closed = all(u | {a} in fam for u in fam for a in full - u)
+    out = []
+    for u in space.conditioning_events:
+        if not closed:
+            for extra in subsets(sorted(full - u)):
+                v = u | frozenset(extra)
+                if v not in fam:
+                    out.append(
+                        f"closure: {sorted(u)} in family but superset {sorted(v)} is not"
+                    )
+        row = space.table.get(u)
+        if row is None:
+            continue
+        if closed and all(frozenset({a}) in fam for a in u if row.mass[a] != 0):
+            continue
+        for v_tuple in subsets(sorted(u)):
+            v = frozenset(v_tuple)
+            if v and space.conditional(v, u) != 0 and v not in fam:
+                out.append(
+                    f"closure: mu({sorted(v)}|{sorted(u)}) > 0 but {sorted(v)} not in family"
+                )
+    return out
+
+
 def popper_findings(space, level):
     """Findings of Popper validation at ``level``, from the exhaustive
     check: the chain rule on every sub-event of every nested pair, and
@@ -190,7 +218,7 @@ def validate_popper_by_covering_pairs(space, level):
     if rows is None:
         return findings
     if level == "popper":
-        closure = _closure_by_shortcuts(space)
+        closure = _closure_by_frozensets(space)
         full = space.algebra.full_event()
         covering = [(x, x | {a}) for x in space.conditioning_events for a in full - x]
         if not findings and not closure and all(
@@ -363,7 +391,7 @@ def reduce_lps_by_levels(lps):
     kept = []
     rows = []
     for m in lps.measures:
-        if _linalg.solve_combination(rows, m.mass) is None:
+        if solve_combination_over_fractions(rows, m.mass) is None:
             kept.append(m)
             rows.append(m.mass)
     return LPS(lps.algebra, tuple(kept))
@@ -377,7 +405,7 @@ def triangular_coeffs_by_prefix(src_rows, dst_rows):
     for i in range(max(len(src_rows), len(dst_rows))):
         if i >= len(src_rows) or i >= len(dst_rows):
             return tuple(out), i
-        coeffs = _linalg.solve_combination(src_rows[: i + 1], dst_rows[i])
+        coeffs = solve_combination_over_fractions(src_rows[: i + 1], dst_rows[i])
         if coeffs is None or coeffs[i] <= 0:
             return tuple(out), i
         padded = tuple(coeffs) + tuple(Fraction(0) for _ in range(len(dst_rows) - i - 1))
@@ -400,11 +428,11 @@ def separating_vector(rows_a, rows_b, n):
             if i == ha and j == hb:
                 continue
             constraints = list(rows_a[:i]) + list(rows_b[:j])
-            basis = _linalg.nullspace_basis(constraints, n)
+            basis = nullspace_basis_over_fractions(constraints, n)
             if not basis:
                 continue
-            f = _restrict(rows_a[i], basis) if i < ha else None
-            g = _restrict(rows_b[j], basis) if j < hb else None
+            f = _restrict_over_fractions(rows_a[i], basis) if i < ha else None
+            g = _restrict_over_fractions(rows_b[j], basis) if j < hb else None
             z = _pick_signed(f, g, basis, n)
             if z is not None:
                 return z
@@ -425,7 +453,7 @@ def _pick_signed(f, g, basis, n):
         if all(x == 0 for x in f) or all(x == 0 for x in g):
             return None
         columns = [(f[j], g[j]) for j in range(m)]
-        coords = _linalg.solve_combination(columns, (Fraction(1), Fraction(-1)))
+        coords = solve_combination_over_fractions(columns, (Fraction(1), Fraction(-1)))
         if coords is not None:
             return assemble(coords)
         # g proportional to f; separation only if the factor is negative.
@@ -433,12 +461,12 @@ def _pick_signed(f, g, basis, n):
         lam = g[k] / f[k]
         if lam >= 0:
             return None
-        coords = _linalg.solve_combination([(x,) for x in f], (Fraction(1),))
+        coords = solve_combination_over_fractions([(x,) for x in f], (Fraction(1),))
         return assemble(coords)
     h, want = (f, Fraction(1)) if f is not None else (g, Fraction(-1))
     if all(x == 0 for x in h):
         return None
-    coords = _linalg.solve_combination([(x,) for x in h], (want,))
+    coords = solve_combination_over_fractions([(x,) for x in h], (want,))
     return assemble(coords)
 
 
@@ -539,6 +567,60 @@ def nullspace_basis_over_fractions(rows, n):
             vec[pc] = -mat[row_idx][fc]
         basis.append(tuple(vec))
     return basis
+
+
+def solve_combinations_over_fractions(rows, targets):
+    """``_linalg.solve_combinations`` on rational rows, one Gauss-Jordan
+    over Fractions per target."""
+    return [solve_combination_over_fractions(rows, t) for t in targets]
+
+
+def reduce_lps_over_fractions(lps):
+    """``lps.reduce_lps`` by its earlier route: the pivot columns of the
+    transposed ``Fraction`` masses, by Gauss-Jordan over Fractions."""
+    columns = _fractions(
+        [m.mass[a] for m in lps.measures] for a in range(lps.algebra.n_atoms)
+    )
+    kept = _reduce_over_fractions(columns, len(lps.measures))
+    return LPS(lps.algebra, tuple(lps.measures[i] for i in kept))
+
+
+def _restrict_over_fractions(functional, basis):
+    return tuple(
+        sum((functional[a] * vec[a] for a in range(len(functional))), Fraction(0))
+        for vec in basis
+    )
+
+
+def separate_at_over_fractions(rows_a, rows_b, i, n):
+    """``lps._separate_at`` by its earlier route, on rational rows: a
+    ``Fraction`` null-space basis, level i restricted to it by ``Fraction``
+    sums and solved for (1, -1), or the one present level for +1 or -1."""
+    basis = nullspace_basis_over_fractions(rows_a[:i] + rows_b[:i], n)
+    f = _restrict_over_fractions(rows_a[i], basis) if i < len(rows_a) else None
+    g = _restrict_over_fractions(rows_b[i], basis) if i < len(rows_b) else None
+    coords = None
+    if f is not None and g is not None:
+        coords = solve_combination_over_fractions(
+            list(zip(f, g)), (Fraction(1), Fraction(-1))
+        )
+    if coords is None:
+        h, want = (f, Fraction(1)) if f is not None else (g, Fraction(-1))
+        coords = solve_combination_over_fractions([(x,) for x in h], (want,))
+    return tuple(
+        sum((c * vec[a] for c, vec in zip(coords, basis)), Fraction(0)) for a in range(n)
+    )
+
+
+def shortfall_over_fractions(row, d, cushion, cushion_den):
+    """The repair step of ``npsbridge.nps_to_lps`` by its earlier route:
+    the largest of 0 and ``-(x / d) / (c / cushion_den)`` over the negative
+    entries x of the layer, as ``Fraction``s."""
+    shortfall = Fraction(0)
+    for x, c in zip(row, cushion):
+        if x < 0:
+            shortfall = max(shortfall, -Fraction(x, d) / Fraction(c, cushion_den))
+    return shortfall
 
 
 _RATIONAL_TEXT = re.compile(rf"-?[0-9]{{1,{RATIONAL_MAX_DIGITS}}}(?:/[0-9]{{1,{RATIONAL_MAX_DIGITS}}})?")

@@ -449,6 +449,13 @@ class TestMalformedInput:
         err = self.run_bad(["believe", "--model", path, "--event", "0", "--kind", kind], capsys)
         assert err == f"{path}: {where}: negative mass -1 at atom 1\n"
 
+    def test_popper_independence_checks_its_table(self, tmp_path, capsys):
+        """``indep --mode popper`` validates its table at the cps level."""
+        model = PopperSpace.from_rows(self.GRID, {(0, 1, 2, 3): (2, -1, 0, 0)})
+        path = write(tmp_path, "model.json", model)
+        err = self.run_bad(["indep", "--measure", path, "--mode", "popper", "--u", "0", "--v", "1"], capsys)
+        assert err == f"{path}: conditional given [0, 1, 2, 3]: negative mass -1 at atom 1\n"
+
     def test_conditioning_events_not_a_list(self, tmp_path, capsys):
         doc = jsonio.encode(nps_to_popper(NonstdMeasure.from_values(AB, [ONE - EPS, EPS])))
         doc["conditioning_events"] = 5

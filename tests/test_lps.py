@@ -13,6 +13,8 @@ from oracles import (
     equivalence_by_search,
     matrix_rebuilds_by_fractions,
     reduce_lps_by_levels,
+    reduce_lps_over_fractions,
+    separate_at_over_fractions,
     triangular_coeffs_by_prefix,
 )
 
@@ -26,6 +28,7 @@ from extprob.lps import (
     LT,
     LPS,
     _matrix_rebuilds,
+    _separate_at,
     _triangular_coeffs,
     equivalence,
     reduce_lps,
@@ -246,8 +249,8 @@ class TestEquivalence:
 def first_failing_level(a, b):
     """First level i at which level i of reduced b is not a combination of
     levels 0 to i of reduced a with a positive last coefficient, or None."""
-    rows_a = [m.mass for m in reduce_lps(a).measures]
-    rows_b = [m.mass for m in reduce_lps(b).measures]
+    rows_a = [m.int_row for m in reduce_lps(a).measures]
+    rows_b = [m.int_row for m in reduce_lps(b).measures]
     for i in range(max(len(rows_a), len(rows_b))):
         if i >= min(len(rows_a), len(rows_b)):
             return i
@@ -255,6 +258,12 @@ def first_failing_level(a, b):
         if coeffs is None or coeffs[i] <= 0:
             return i
     return None
+
+
+def fractions_of(row):
+    """The masses of the integer row ``(ints, den)``."""
+    ints, den = row
+    return tuple(F(x, den) for x in ints)
 
 
 def changed(matrix, i, j, value):
@@ -280,6 +289,13 @@ class TestAgainstSearchOracle:
             level = first_failing_level(a, b)
             assert (level is None) == cert.equivalent
             late_failures += level is not None and level >= 1
+            if level is not None:
+                ra, rb = reduce_lps(a).measures, reduce_lps(b).measures
+                assert _separate_at(
+                    [m.int_row for m in ra], [m.int_row for m in rb], level, a.algebra.n_atoms
+                ) == separate_at_over_fractions(
+                    [m.mass for m in ra], [m.mass for m in rb], level, a.algebra.n_atoms
+                )
         assert min(verdicts.values()) >= 200
         assert late_failures >= 50
 
@@ -295,10 +311,13 @@ class TestAgainstSearchOracle:
             for s in (a, b):
                 kept = reduce_lps(s)
                 assert kept.measures == reduce_lps_by_levels(s).measures
-                rows.append([m.mass for m in kept.measures])
+                assert kept.measures == reduce_lps_over_fractions(s).measures
+                rows.append([m.int_row for m in kept.measures])
             for src, dst in (rows, rows[::-1]):
                 got = _triangular_coeffs(src, dst)
-                assert got == triangular_coeffs_by_prefix(src, dst)
+                assert got == triangular_coeffs_by_prefix(
+                    [fractions_of(r) for r in src], [fractions_of(r) for r in dst]
+                )
                 levels[got[1] if got[1] in (None, 0) else "later"] += 1
             cert = equivalence(a, b)
             if cert.equivalent:
@@ -395,13 +414,16 @@ def test_generated_slps_classify_as_slps():
 
 class TestLinalg:
     def test_dependent_system_pins_free_coefficient_at_zero(self):
-        rows = [(F(1), F(0), F(1)), (F(2), F(0), F(2)), (F(0), F(1), F(1))]
-        assert solve_combination(rows, (F(3), F(2), F(5))) == [F(3), F(0), F(2)]
-        assert solve_combination(rows, (F(1), F(0), F(0))) is None
-        assert solve_combination([], (F(0), F(0))) == []
+        rows = [((1, 0, 1), 1), ((2, 0, 2), 1), ((0, 1, 1), 1)]
+        assert solve_combination(rows, ((3, 2, 5), 1)) == [F(3), F(0), F(2)]
+        assert solve_combination(rows, ((1, 0, 0), 1)) is None
+        assert solve_combination([], ((0, 0), 1)) == []
+        # The same system over other denominators: row 0 is (1/2, 0, 1/2).
+        halved = [((1, 0, 1), 2), ((4, 0, 4), 2), ((0, -3, -3), -3)]
+        assert solve_combination(halved, ((9, 6, 15), 3)) == [F(6), F(0), F(2)]
 
     def test_nullspace_basis_order(self):
         rows = [(0, 0, 1, 3), (1, 2, 0, -1), (1, 2, 1, 2), (0, 0, 0, 0)]
-        rows = [tuple(F(x) for x in row) for row in rows]
-        assert nullspace_basis(rows, 4) == [(-2, 1, 0, 0), (1, 0, -3, 1)]
-        assert nullspace_basis([(F(0), F(0))], 2) == [(1, 0), (0, 1)]
+        assert nullspace_basis([(row, 1) for row in rows], 4) == [(-2, 1, 0, 0), (1, 0, -3, 1)]
+        assert nullspace_basis([((0, 0), 1)], 2) == [(1, 0), (0, 1)]
+        assert nullspace_basis([((2, 4, 6), 7)], 3) == [(-2, 1, 0), (-3, 0, 1)]

@@ -20,6 +20,7 @@ from oracles import (
     nps_to_lps_by_numbers,
     nps_to_popper_by_event_mass,
     pair_standard_part_by_sum,
+    shortfall_over_fractions,
     simeq_by_images,
     simeq_by_pair_sums,
     standard_layers,
@@ -35,6 +36,7 @@ from extprob.npsbridge import (
     Decomposition,
     _compose,
     _pair_standard_part,
+    _shortfall,
     _standard_layers,
     geometric_schedule,
     lps_to_nps,
@@ -355,6 +357,44 @@ class TestAgainstReplacedArithmetic:
         for a, b in zip(measures, measures[1:]):
             if a.algebra == b.algebra:
                 assert outcome(nps_equiv_simeq, a, b) == outcome(simeq_by_pair_sums, a, b)
+
+    def test_shortfall_matches_fraction_route(self):
+        """The repair step of ``nps_to_lps`` by integer cross-multiplication
+        against its earlier ``Fraction`` route, on seeded layers and
+        cushions with entries and denominators of either sign, unnormalised
+        and all-zero rows, and zero cushion entries, some under a negative
+        layer entry: the same share of the cushion or the same error."""
+        rng = random.Random(73)
+        seen = dict(repair=0, none=0, zero_division=0, negative_cushion=0, all_zero=0)
+        cases = [([0, -1, 2], 3, [1, 0, 0], 1), ([-2, 0], 5, [0, 0], 1)]
+        for _ in range(3000):
+            n = rng.randint(1, 5)
+            k = rng.choice((1, 1, 2, 6))
+            row = [k * rng.randint(-4, 4) if rng.random() < 0.8 else 0 for _ in range(n)]
+            cushion = [rng.randint(-3, 6) if rng.random() < 0.8 else 0 for _ in range(n)]
+            cases.append((row, k * rng.choice((1, 2, 5, -3)), cushion, rng.choice((1, 4, -2, -7))))
+        for row, d, cushion, cushion_den in cases:
+            got = outcome(_shortfall, row, d, cushion, cushion_den)
+            want = outcome(shortfall_over_fractions, row, d, cushion, cushion_den)
+            if isinstance(want, F):
+                want = (want.numerator, want.denominator)
+                seen["repair" if want[0] else "none"] += 1
+            else:
+                seen["zero_division"] += want[0] is ZeroDivisionError
+            assert got == want
+            seen["negative_cushion"] += any(
+                x < 0 and c * cushion_den < 0 for x, c in zip(row, cushion)
+            )
+            seen["all_zero"] += not any(row)
+        assert min(seen.values()) >= 100, seen
+
+    def test_negative_entry_over_zero_cushion_raises_like_field_arithmetic(self):
+        """Layer 1 of (1 + eps - eps^2, -eps, eps^2) is (1, -1, 0), and no
+        earlier layer has mass at atom 1 to repair it with."""
+        nu = nsm(algebra_of(3), 1 + EPS - EPS * EPS, -EPS, EPS * EPS)
+        got = outcome(nps_to_lps, nu)
+        assert got == (ZeroDivisionError, "Fraction(1, 0)")
+        assert got == outcome(nps_to_lps_by_numbers, nu)
 
     def test_compose_length_mismatch_matches(self):
         system = lps(AB, (F(1, 2), F(1, 2)), (1, 0))
