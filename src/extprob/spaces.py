@@ -12,14 +12,12 @@ use.  A standard measure checks its invariants, sums events and takes
 expectations on that row, one ``Fraction`` per result; a row with a mass
 that is not an ``int`` or a ``Fraction`` has no integer row and keeps the
 ``Fraction`` sums.  A standard measure built from an integer row
-(:meth:`StdMeasure.from_int_row`) keeps the row in lowest terms and makes
-its ``mass`` tuple when ``mass`` is first read; two rational measures are
-equal when their rows are.
+(:meth:`StdMeasure.from_int_row`) keeps only the row and makes its
+``mass`` tuple when ``mass`` is first read.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -206,13 +204,10 @@ class StdMeasure(_MeasureBase):
     @classmethod
     def from_int_row(cls, algebra: SpaceAlgebra, ints: tuple, den: int) -> "StdMeasure":
         """The measure with masses ``ints[a] / den`` for a tuple of ints and
-        a nonzero int.  It keeps the row in lowest terms and builds
-        ``mass`` when it is first read."""
-        g = math.gcd(den, *ints)
+        a nonzero int.  It keeps the row and builds ``mass`` when it is
+        first read."""
         if den < 0:
-            g = -g
-        if g != 1:
-            ints, den = tuple(x // g for x in ints), den // g
+            ints, den = tuple(-x for x in ints), -den
         measure = object.__new__(cls)
         # Bypass the frozen __init__: ``mass`` stays unset until read.
         measure.__dict__.update(algebra=algebra, _masses={}, int_row=(ints, den))
@@ -226,21 +221,6 @@ class StdMeasure(_MeasureBase):
         zero = self._zero
         return tuple(Fraction(x, den) if x else zero for x in ints)
 
-    def __eq__(self, other):
-        """Same algebra and masses.  Two rational rows are compared as
-        their integer rows, which are in lowest terms."""
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        if self.algebra != other.algebra:
-            return False
-        row, other_row = self.int_row, other.int_row
-        if row is not None and other_row is not None:
-            return row == other_row
-        return self.mass == other.mass
-
-    def __hash__(self):
-        return hash((self.algebra, self.mass))
-
     @classmethod
     def uniform(cls, algebra: SpaceAlgebra) -> "StdMeasure":
         n = algebra.n_atoms
@@ -251,7 +231,7 @@ class StdMeasure(_MeasureBase):
         """``(ints, den)`` with ``ints[a] / den == mass[a]`` and ``den > 0``,
         or None when a mass is not an ``int`` or a ``Fraction``.  Made on
         first use over the least common denominator, unless the measure
-        was built by :meth:`from_int_row`; in lowest terms either way."""
+        was built by :meth:`from_int_row`."""
         return _int_row(self.mass)
 
     def invariant_findings(self, where: str = "measure"):

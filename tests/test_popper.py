@@ -391,6 +391,17 @@ class TestSlpsToPopper:
             multi_level += len(system) > 1
         assert multi_level >= 300
 
+    def test_validation_leaves_conditional_masses_unbuilt(self):
+        # The forward map's conditionals keep only their integer rows, and a
+        # valid table is validated on those rows alone.
+        rng = random.Random(59)
+        systems = [lps(algebra_of(7), *TestChainRuleTests.LEVELS)]
+        systems += [covering_slps(rng, algebra_of(rng.randint(1, 7))) for _ in range(50)]
+        for system in systems:
+            image = slps_to_popper(system)
+            assert validate_popper(image, "popper").is_valid
+            assert not any("mass" in row.__dict__ for row in image.table.values())
+
     def test_float_level_keeps_its_arithmetic(self):
         # A level without denominators is conditioned in its own arithmetic;
         # the rational level after it is not.

@@ -187,6 +187,35 @@ class TestCondition:
             m.condition(ABC.event({1, 2}))
 
 
+class TestFromIntRow:
+    def test_mass_is_built_on_first_read(self):
+        m = StdMeasure.from_int_row(ABC, (1, 0, 3), 4)
+        assert "mass" not in m.__dict__
+        assert m.event_mass(ABC.event({0, 2})) == 1
+        assert "mass" not in m.__dict__
+        assert m.mass == (F(1, 4), 0, F(3, 4))
+        assert all(type(x) is Fraction for x in m.mass)
+        assert "mass" in m.__dict__
+
+    def test_unnormalised_and_negative_denominator_rows(self):
+        m = StdMeasure.from_int_row(AB, (2, -4), -6)
+        want = StdMeasure.from_values(AB, [F(-1, 3), F(2, 3)])
+        assert m.int_row == ((-2, 4), 6)
+        assert m == want and hash(m) == hash(want)
+        assert StdMeasure.from_int_row(AB, (1, 3), 4) != StdMeasure.from_values(AB, [F(1, 2)] * 2)
+
+    def test_equals_and_hashes_like_the_measure_of_its_values(self):
+        rng = random.Random(2111)
+        for _ in range(500):
+            n = rng.randint(1, 5)
+            ints = tuple(rng.randint(-6, 6) for _ in range(n))
+            den = rng.choice([-1, 1]) * rng.randint(1, 12)
+            m = StdMeasure.from_int_row(algebra_of(n), ints, den)
+            want = StdMeasure.from_values(algebra_of(n), [F(x, den) for x in ints])
+            assert m == want and hash(m) == hash(want)
+            assert m.mass == want.mass
+
+
 def test_events_in_lexicographic_order():
     assert ABC.events() == [
         frozenset(ev) for ev in [(0,), (0, 1), (0, 1, 2), (0, 2), (1,), (1, 2), (2,)]
