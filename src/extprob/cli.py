@@ -8,6 +8,15 @@ are printed in full only after a command succeeds, and every enumeration is
 emitted in lexicographic index order, so identical invocations produce
 byte-identical output.
 
+Every input document is checked where it is read, and one that fails its
+check exits 3.  Measures, systems and decompositions must keep the measure
+invariants (masses nonnegative and summing to one) on a valid space; a
+popper_space must keep the cps axioms; a random_variable must lie on a
+valid space.  ``validate`` reports the findings of the same checks, for a
+popper_space at the requested level.  A conversion from a table checks it
+only when the conversion refuses it: one that succeeds has validated the
+table at a stricter level already.
+
 File formats (JSON, exact; no floats anywhere):
 
 - rationals: strings "a/b" (or "a" for integers)
@@ -45,7 +54,7 @@ from .belief import LPS_KINDS, NPS_KINDS, POPPER_KINDS, believes
 from .errors import ExtprobError, SizeLimitError
 from .fixtures import FIXTURES, run_fixture
 from .independence import approx_indep_set, indep_events, verify_indep_witness, weak_indep
-from .lps import LPS, certified_reduction, equivalence
+from .lps import certified_reduction, equivalence
 from .npsbridge import nps_equiv, nps_to_lps, nps_to_popper, lps_to_nps
 from .popper import popper_to_slps, slps_to_popper, treelike_to_lps
 from .spaces import validate_space
@@ -65,47 +74,47 @@ class _BadInput(Exception):
     pass
 
 
-def _load(path, expected=None):
+def _read(path, read):
+    """``read(path)``, with a file that cannot be read or parsed as bad input."""
     try:
-        type_name, obj = jsonio.load_path(path)
+        return read(path)
     except (jsonio.ParseError, OSError) as exc:
         raise _BadInput(f"{path}: {exc}") from None
+
+
+# The check each document type gets, given the object and, for a table, the
+# level.  Every document is checked when it is read (a table at the cps
+# level), and ``validate`` reports the findings of the same check.
+_CHECKS = {
+    "std_measure": lambda m, level: validate_space(m.algebra, (m,)),
+    "nonstd_measure": lambda m, level: validate_space(m.algebra, (m,)),
+    "lps": lambda s, level: validate_space(s.algebra, s.measures),
+    "decomposition": lambda d, level: validate_space(d.lps.algebra, d.lps.measures),
+    "popper_space": lambda p, level: p.validate(level),
+    "random_variable": lambda x, level: validate_space(x.algebra),
+}
+
+_MEASURES = ("std_measure", "nonstd_measure", "lps")
+_RV = ("random_variable",)
+
+
+def _require(path, report):
+    if not report.is_valid:
+        raise _BadInput(f"{path}: " + "; ".join(report.findings))
+
+
+def _load(path, expected=None, check=True):
+    """``(type, object)`` of the document at ``path``: one of the
+    ``expected`` types, if given, and one that passes its check, if
+    ``check``."""
+    type_name, obj = _read(path, jsonio.load_path)
     if expected and type_name not in expected:
         raise _BadInput(
             f"{path}: expected {', '.join(expected)} document, got {type_name}"
         )
+    if check:
+        _require(path, _CHECKS[type_name](obj, "cps"))
     return type_name, obj
-
-
-def _check_measures(path, algebra, measures):
-    """Reject measures that break their invariants or lie on another space."""
-    report = validate_space(algebra, measures)
-    if not report.is_valid:
-        raise _BadInput(f"{path}: " + "; ".join(report.findings))
-
-
-def _check_measure(path, obj):
-    """Reject a measure, or a system with a level, that breaks its invariants."""
-    _check_measures(path, obj.algebra, obj.measures if isinstance(obj, LPS) else (obj,))
-    return obj
-
-
-def _load_measure(path, expected=("std_measure", "nonstd_measure", "lps")):
-    type_name, obj = _load(path, expected)
-    return type_name, _check_measure(path, obj)
-
-
-def _load_table(path):
-    """A popper_space document whose table keeps the ``cps`` axioms."""
-    _, space = _load(path, ("popper_space",))
-    report = space.validate("cps")
-    if not report.is_valid:
-        raise _BadInput(f"{path}: " + "; ".join(report.findings))
-    return space
-
-
-def _load_rv(path):
-    return _load(path, ("random_variable",))[1]
 
 
 def _parse_event(algebra, text):
@@ -137,37 +146,24 @@ def _emit(lines, out_doc=None, out_path=None):
 
 
 def cmd_validate(args):
-    type_name, obj = _load(args.infile)
-    if type_name == "popper_space":
-        report = obj.validate(args.level)
-    elif type_name in ("std_measure", "nonstd_measure"):
-        report = validate_space(obj.algebra, [obj])
-    elif type_name == "lps":
-        report = validate_space(obj.algebra, list(obj.measures))
-    elif type_name == "decomposition":
-        report = validate_space(obj.lps.algebra, list(obj.lps.measures))
-    else:
-        report = validate_space(obj.algebra)
+    type_name, obj = _load(args.infile, check=False)
+    report = _CHECKS[type_name](obj, args.level)
     if not report.is_valid:
         raise _Negative([f"{type_name}: invalid"] + report.lines())
     return _emit([f"{type_name}: valid at level {args.level}"
                   if type_name == "popper_space" else f"{type_name}: valid"])
 
 
+# Each route's source document type and converter.  A converter is called
+# through its module-level name, the binding that perfbench's tracer
+# replaces to count and time it.
 _CONVERSIONS = {
-    ("lps", "nps"): lambda obj: lps_to_nps(obj),
-    ("lps", "popper"): lambda obj: slps_to_popper(obj),
-    ("nps", "lps"): lambda obj: nps_to_lps(obj),
-    ("nps", "popper"): lambda obj: nps_to_popper(obj),
-    ("popper", "lps"): lambda obj: popper_to_slps(obj),
-    ("treelike", "lps"): lambda obj: treelike_to_lps(obj),
-}
-
-_SOURCE_TYPES = {
-    "lps": ("lps",),
-    "nps": ("nonstd_measure",),
-    "popper": ("popper_space",),
-    "treelike": ("popper_space",),
+    ("lps", "nps"): ("lps", lambda obj: lps_to_nps(obj)),
+    ("lps", "popper"): ("lps", lambda obj: slps_to_popper(obj)),
+    ("nps", "lps"): ("nonstd_measure", lambda obj: nps_to_lps(obj)),
+    ("nps", "popper"): ("nonstd_measure", lambda obj: nps_to_popper(obj)),
+    ("popper", "lps"): ("popper_space", lambda obj: popper_to_slps(obj)),
+    ("treelike", "lps"): ("popper_space", lambda obj: treelike_to_lps(obj)),
 }
 
 
@@ -175,22 +171,26 @@ def cmd_convert(args):
     route = (args.source, args.target)
     if route not in _CONVERSIONS:
         raise _BadInput(f"no conversion from {args.source} to {args.target}")
-    _, obj = _load(args.infile, _SOURCE_TYPES[args.source])
-    if args.source in ("lps", "nps"):
-        _check_measure(args.infile, obj)
+    type_name, convert = _CONVERSIONS[route]
+    # A conversion from a table validates it at a stricter level than cps
+    # first, so the table is checked only when the conversion refuses it.
+    table = type_name == "popper_space"
+    obj = _load(args.infile, (type_name,), check=not table)[1]
     try:
-        result = _CONVERSIONS[route](obj)
+        result = convert(obj)
     except SizeLimitError:
         raise  # refused by size: exit 3 with the message, not a verdict
     except ExtprobError as exc:
+        if table:
+            _require(args.infile, _CHECKS[type_name](obj, "cps"))
         raise _Negative([f"cannot convert: {exc}"]) from None
     return _emit([f"converted {args.source} to {args.target}"],
                  jsonio.encode(result), args.out)
 
 
 def cmd_compare(args):
-    type_a, a = _load_measure(args.a)
-    type_b, b = _load_measure(args.b)
+    type_a, a = _load(args.a, _MEASURES)
+    type_b, b = _load(args.b, _MEASURES)
     if args.relation == "simeq":
         if type_a != "nonstd_measure" or type_b != "nonstd_measure":
             raise _BadInput("simeq compares two nonstd_measure documents")
@@ -217,8 +217,8 @@ def cmd_compare(args):
 
 
 def cmd_expect(args):
-    type_name, measure = _load_measure(args.measure)
-    rv = _load_rv(args.rv)
+    type_name, measure = _load(args.measure, _MEASURES)
+    rv = _load(args.rv, _RV)[1]
     if rv.algebra != measure.algebra:
         raise _BadInput("random variable and measure use different spaces")
     if type_name == "lps":
@@ -230,9 +230,9 @@ def cmd_expect(args):
 def cmd_indep(args):
     if args.variant == "events":
         if args.mode == "popper":
-            model = _load_table(args.measure)
+            model = _load(args.measure, ("popper_space",))[1]
         else:
-            type_name, model = _load_measure(args.measure)
+            type_name, model = _load(args.measure, _MEASURES)
             if type_name != "nonstd_measure":
                 raise _BadInput(f"{args.mode} mode needs a nonstd_measure")
         u = _parse_event(model.algebra, args.u)
@@ -242,17 +242,17 @@ def cmd_indep(args):
         if not holds:
             raise _Negative([f"independent ({args.mode}): false"])
         return _emit([f"independent ({args.mode}): true"])
-    type_name, nu = _load_measure(args.measure)
+    type_name, nu = _load(args.measure, _MEASURES)
     if type_name != "nonstd_measure":
         raise _BadInput(f"{args.variant} variant needs a nonstd_measure")
-    x = _load_rv(args.x)
+    x = _load(args.x, _RV)[1]
     if args.variant == "weak":
-        y = _load_rv(args.y)
+        y = _load(args.y, _RV)[1]
         holds = weak_indep(nu, x, y, require_product_range=args.require_product_range)
         if not holds:
             raise _Negative(["weakly independent: false"])
         return _emit(["weakly independent: true"])
-    ys = [_load_rv(path) for path in args.ys.split(",")]
+    ys = [_load(path, _RV)[1] for path in args.ys.split(",")]
     holds = approx_indep_set(nu, x, ys)
     if not holds:
         raise _Negative(["approximately independent of set: false"])
@@ -263,10 +263,7 @@ def _load_witness(path, kind, algebra):
     """The witness of ``kind`` in ``path``: a nonempty list of mixing
     weights strictly between 0 and 1, or measures (at least one) that keep
     their invariants on ``algebra``."""
-    try:
-        doc = jsonio.read_json(path)
-    except (jsonio.ParseError, OSError) as exc:
-        raise _BadInput(f"{path}: {exc}") from None
+    doc = _read(path, jsonio.read_json)
     if not isinstance(doc, dict) or doc.get("type") != "witness":
         raise _BadInput(f"{path}: expected a witness document")
     if doc.get("kind") != kind:
@@ -290,16 +287,13 @@ def _load_witness(path, kind, algebra):
         return weights
     if not measures:
         raise _BadInput(f"{path}: the witness lists no measures")
-    _check_measures(path, algebra, measures)
+    _require(path, validate_space(algebra, measures))
     return measures if kind == "kr-seq" else measures[0]
 
 
 def cmd_verify_witness(args):
-    if args.kind.startswith("bbd"):
-        target = _load_measure(args.target, ("lps",))[1]
-    else:
-        target = _load_table(args.target)
-    xs = [_load_rv(path) for path in args.xs.split(",")]
+    target = _load(args.target, ("lps",) if args.kind.startswith("bbd") else ("popper_space",))[1]
+    xs = [_load(path, _RV)[1] for path in args.xs.split(",")]
     if any(x.algebra != target.algebra for x in xs):
         raise _BadInput("random variables and target use different spaces")
     witness = _load_witness(args.witness, args.kind, target.algebra)
@@ -317,10 +311,7 @@ def cmd_believe(args):
     }
     if args.kind not in expected:
         raise _BadInput(f"unknown belief kind {args.kind!r}")
-    if args.kind in POPPER_KINDS:
-        model = _load_table(args.model)
-    else:
-        model = _load_measure(args.model, expected[args.kind])[1]
+    model = _load(args.model, expected[args.kind])[1]
     event = _parse_event(model.algebra, args.event)
     holds, level = believes(model, event, args.kind)
     lines = [f"{args.kind}: {str(holds).lower()}"]
@@ -332,8 +323,7 @@ def cmd_believe(args):
 
 
 def cmd_reduce(args):
-    _, system = _load(args.infile, ("lps",))
-    _check_measure(args.infile, system)
+    system = _load(args.infile, ("lps",))[1]
     reduced, cert = certified_reduction(system)
     lines = [
         f"length: {len(system)} -> {len(reduced)}",

@@ -2,9 +2,10 @@
 
 All numbers are strings ("a/b" rationals) or exponent/coefficient pair
 lists, never floats, so files round-trip exactly.  Every document carries a
-format_version and a type tag; parse functions check structure (shapes,
-increasing exponents) but leave semantic validation (mass sums, axioms) to
-the callers that need it.
+format_version and a type tag (a string); parse functions check structure
+(shapes, increasing exponents, worlds that are strings, integers or lists
+of those) but leave semantic validation (mass sums, axioms) to the callers
+that need it.
 
 Each parse of a document keeps one memo, local to that parse, from a
 rational string to its ``Fraction``: rows repeat a few numbers (``"0"``,
@@ -141,16 +142,36 @@ def _encode_world(w):
     return list(w) if isinstance(w, tuple) else w
 
 
-def _parse_world(w):
-    return tuple(w) if isinstance(w, list) else w
+def _place(b) -> str:
+    return "worlds" if b is None else f"atoms[{b}]"
+
+
+def _parse_world(w, b):
+    """A world: a string, an integer, or a list of those (read as a tuple)."""
+    if type(w) is str or type(w) is int:
+        return w
+    if isinstance(w, list) and all(type(x) is str or type(x) is int for x in w):
+        return tuple(w)
+    raise ParseError(
+        f"{_place(b)}: bad world {w!r}: expected a string, an integer or a list of those"
+    )
+
+
+def _worlds(block, b=None) -> tuple:
+    """The worlds of the space (``b`` None) or of atom block ``b``."""
+    if not isinstance(block, list):
+        raise ParseError(f"wrongly shaped field: {_place(b)} must be a list, got {block!r}")
+    return tuple(_parse_world(w, b) for w in block)
 
 
 def parse_space(doc) -> SpaceAlgebra:
     if not isinstance(doc, dict) or "worlds" not in doc or "atoms" not in doc:
         raise ParseError("space needs worlds and atoms")
-    worlds = tuple(_parse_world(w) for w in doc["worlds"])
-    atoms = tuple(tuple(_parse_world(w) for w in block) for block in doc["atoms"])
-    return SpaceAlgebra(worlds, atoms)
+    worlds = _worlds(doc["worlds"])
+    blocks = doc["atoms"]
+    if not isinstance(blocks, list):
+        raise ParseError(f"wrongly shaped field: atoms must be a list, got {blocks!r}")
+    return SpaceAlgebra(worlds, tuple(_worlds(block, b) for b, block in enumerate(blocks)))
 
 
 def encode_event(ev) -> list:
@@ -356,7 +377,7 @@ def parse_document(doc):
     if version != FORMAT_VERSION:
         raise ParseError(f"unsupported format_version {version!r}")
     type_name = doc.get("type")
-    parser = _PARSERS.get(type_name)
+    parser = _PARSERS.get(type_name) if isinstance(type_name, str) else None
     if parser is None:
         raise ParseError(f"unknown document type {type_name!r}")
     try:

@@ -456,6 +456,53 @@ class TestMalformedInput:
         err = self.run_bad(["indep", "--measure", path, "--mode", "popper", "--u", "0", "--v", "1"], capsys)
         assert err == f"{path}: conditional given [0, 1, 2, 3]: negative mass -1 at atom 1\n"
 
+    @pytest.mark.parametrize("source", ["popper", "treelike"])
+    @pytest.mark.parametrize("defect", ["zero row", "uncovered world"])
+    def test_convert_checks_a_refused_table(self, tmp_path, capsys, source, defect):
+        """A table that breaks the cps axioms is bad input, not a refused
+        conversion."""
+        doc = jsonio.encode(PopperSpace.from_rows(AB, {(0, 1): (1, 0)}))
+        if defect == "zero row":
+            doc["table"] = [["0", "0"]]
+            finding = "conditional given [0, 1]: masses sum to 0, not 1"
+        else:
+            doc["space"]["worlds"].append("w3")
+            finding = "worlds not covered by atoms: ['w3']"
+        path = write(tmp_path, "table.json", doc)
+        err = self.run_bad(["convert", "--from", source, "--to", "lps", "--in", path], capsys)
+        assert err.startswith(f"{path}: {finding}"), err
+
+    def test_convert_refuses_a_cps_table_that_is_not_popper(self, tmp_path, capsys):
+        abc = SpaceAlgebra.discrete(["a", "b", "c"])
+        space = PopperSpace.from_rows(abc, {(0, 1, 2): (1, 0, 0), (2,): (0, 0, 1)})
+        path = write(tmp_path, "table.json", space)
+        assert main(["validate", "--level", "cps", "--in", path]) == 0
+        assert main(["convert", "--from", "popper", "--to", "lps", "--in", path]) == 1
+        assert "cannot convert" in capsys.readouterr().out
+
+    def test_random_variable_is_checked_where_it_is_read(self, tmp_path, capsys):
+        measure = write(tmp_path, "m.json", StdMeasure.from_values(AB, [1, 0]))
+        doc = jsonio.encode(RandomVariable.from_values(AB, [0, 1]))
+        doc["space"]["worlds"].append("w3")
+        rv = write(tmp_path, "x.json", doc)
+        err = self.run_bad(["expect", "--measure", measure, "--rv", rv], capsys)
+        assert err == f"{rv}: worlds not covered by atoms: ['w3']\n"
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("worlds", [{}, "w2"], "worlds: bad world {}"),
+        ("atoms", ["w1", ["w2"]], "atoms[0] must be a list, got 'w1'"),
+        ("type", ["lps"], "unknown document type ['lps']"),
+    ])
+    def test_malformed_space_or_type(self, tmp_path, capsys, field, value, message):
+        doc = jsonio.encode(LPS.from_rows(AB, [(1, 0)]))
+        if field == "type":
+            doc["type"] = value
+        else:
+            doc["space"][field] = value
+        path = write(tmp_path, "lps.json", doc)
+        for argv in (["validate", "--in", path], ["reduce", "--in", path]):
+            assert message in self.run_bad(argv, capsys)
+
     def test_conditioning_events_not_a_list(self, tmp_path, capsys):
         doc = jsonio.encode(nps_to_popper(NonstdMeasure.from_values(AB, [ONE - EPS, EPS])))
         doc["conditioning_events"] = 5

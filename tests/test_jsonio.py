@@ -206,6 +206,32 @@ class TestStrictness:
         with pytest.raises(jsonio.ParseError):
             jsonio.parse_event([7], AB)
 
+    @pytest.mark.parametrize("type_name", [["lps"], {}, 1])
+    def test_rejects_type_that_is_not_a_string(self, type_name):
+        doc = jsonio.encode(LPS.from_rows(AB, [(1, 0)]))
+        doc["type"] = type_name
+        with pytest.raises(jsonio.ParseError) as err:
+            jsonio.parse_document(doc)
+        assert str(err.value) == f"unknown document type {type_name!r}"
+
+    @pytest.mark.parametrize("space, message", [
+        ({"worlds": [{}, "b"], "atoms": [["a"], ["b"]]}, "worlds: bad world {}"),
+        ({"worlds": ["a", "b"], "atoms": [["a"], [[[]]]]}, r"atoms\[1\]: bad world \[\[\]\]"),
+        ({"worlds": ["a", 1.0], "atoms": [["a"], [1.0]]}, "worlds: bad world 1.0"),
+        ({"worlds": ["a", True], "atoms": [["a"], [True]]}, "worlds: bad world True"),
+        ({"worlds": ["a", "b"], "atoms": ["a", ["b"]]}, r"atoms\[0\] must be a list, got 'a'"),
+        ({"worlds": "ab", "atoms": [["a"], ["b"]]}, "worlds must be a list, got 'ab'"),
+        ({"worlds": ["a", "b"], "atoms": "ab"}, "atoms must be a list, got 'ab'"),
+    ])
+    def test_rejects_malformed_space_entries(self, space, message):
+        """A world is a string, an integer or a list of those, and worlds,
+        atoms and each atom block are lists: anything else is named, not
+        hashed or read one character at a time."""
+        doc = jsonio.encode(StdMeasure.from_values(AB, [1, 0]))
+        doc["space"] = space
+        with pytest.raises(jsonio.ParseError, match=message):
+            jsonio.parse_document(doc)
+
 
 def _documents(row):
     """``(type, document, entries)`` for each type that carries rational
