@@ -181,8 +181,11 @@ def encode_event(ev) -> list:
 def parse_event(doc, algebra: SpaceAlgebra):
     if not isinstance(doc, list):
         raise ParseError(f"event must be a sorted index list, got {doc!r}")
+    for i in doc:
+        if type(i) is not int:
+            raise ParseError(f"event {doc!r}: bad atom index {i!r}: expected an integer")
     try:
-        return algebra.event(int(i) for i in doc)
+        return algebra.event(doc)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
 

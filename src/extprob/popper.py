@@ -57,8 +57,7 @@ invariants and CP1 when its integers are nonnegative and sum to the
 denominator both over the space and over its event; the chain rule
 compares integer products; the forward map divides an atom's integer by
 the event's integer sum.  ``Fraction`` arithmetic is used only to word
-the findings of a row that failed.  When some mass is not a rational,
-every row is checked on its masses, and the findings name each such mass.
+the findings of a row that failed.
 
 The module also carries the three constructions between these spaces and
 lexicographic systems: the forward map from structured systems, its exact
@@ -158,8 +157,8 @@ def _cp_findings(space: PopperSpace, rows):
 
     With ``rows`` from :func:`_integer_rows`, a row is accepted on its
     integers: n of them, summing to the denominator over the space and
-    over u, none negative.  Any other row, and every row when ``rows`` is
-    None, is checked on its masses to word the findings.
+    over u, none negative.  Any other row is checked on its masses to word
+    the findings.
     """
     out = []
     fam = space.conditioning_events
@@ -171,15 +170,14 @@ def _cp_findings(space: PopperSpace, rows):
         if row is None:
             out.append(f"no conditional stored for {sorted(u)}")
             continue
-        if rows is not None:
-            masses, den = rows[u]
-            if (
-                len(masses) == n
-                and sum(masses) == den
-                and min(masses) >= 0
-                and sum(masses[a] for a in u) == den
-            ):
-                continue
+        masses, den = rows[u]
+        if (
+            len(masses) == n
+            and sum(masses) == den
+            and min(masses) >= 0
+            and sum(masses[a] for a in u) == den
+        ):
+            continue
         out.extend(row.invariant_findings(where=f"conditional given {sorted(u)}"))
         if row.event_mass(u) != 1:
             out.append(
@@ -188,11 +186,9 @@ def _cp_findings(space: PopperSpace, rows):
     return out
 
 
-def _integer_rows(space: PopperSpace):
-    """Each stored row's ``StdMeasure.int_row``, or None when a mass is
-    not a rational."""
-    out = {u: row.int_row for u, row in space.table.items()}
-    return None if None in out.values() else out
+def _integer_rows(space: PopperSpace) -> dict:
+    """``{u: int_row}``: each stored row's ``StdMeasure.int_row``."""
+    return {u: row.int_row for u, row in space.table.items()}
 
 
 def _chain_rule_on_atoms(rows: dict, x: Event, u: Event) -> bool:
@@ -362,10 +358,6 @@ def validate_popper(space: PopperSpace, level: str = "popper") -> ValidationRepo
         return ValidationReport(tuple(findings))
     rows = _integer_rows(space)
     findings = _cp_findings(space, rows)
-    if rows is None:
-        # CP3 and closure run on exact integers; the CP findings above name
-        # each mass that is not a rational.
-        return ValidationReport(tuple(findings))
     if level == "popper":
         closure = _popper_closure_findings(space, rows)
         # The peeled levels stand for all nested pairs only on a closed
@@ -399,13 +391,7 @@ def slps_to_popper(slps: LPS) -> PopperSpace:
     table = {}
     for ev in slps.algebra.events():
         for m in slps.measures:
-            row = m.int_row
-            if row is None:
-                if m.event_mass(ev) > 0:
-                    table[ev] = m.condition(ev)
-                    break
-                continue
-            masses = row[0]
+            masses = m.int_row[0]
             total = sum(masses[a] for a in ev)
             if total > 0:
                 # mass[a] / mass(ev) is masses[a] / total: the denominators

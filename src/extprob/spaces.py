@@ -8,12 +8,14 @@ immutable and operations are pure; the only state is what a value caches
 about itself, which saves work but never changes a result: each
 measure's memo of the event masses asked of it, and the integer row
 ``(ints, den)`` of a rational measure or random variable, made on first
-use.  A standard measure checks its invariants, sums events and takes
-expectations on that row, one ``Fraction`` per result; a row with a mass
-that is not an ``int`` or a ``Fraction`` has no integer row and keeps the
-``Fraction`` sums.  A standard measure built from an integer row
-(:meth:`StdMeasure.from_int_row`) keeps only the row and makes its
-``mass`` tuple when ``mass`` is first read.
+use.  A measure or random variable holds only its field's numbers: each
+constructor raises ``TypeError`` on a standard mass or a value that is not
+an ``int`` or a ``Fraction``, and on a nonstandard mass that is not a
+:class:`NonstdNumber` (``from_values`` coerces instead).  So every rational
+row has an integer row, and a standard measure checks its invariants, sums
+events and takes expectations on it, one ``Fraction`` per result.  A
+standard measure built from an integer row (:meth:`StdMeasure.from_int_row`)
+keeps only the row and makes its ``mass`` tuple when ``mass`` is first read.
 """
 
 from __future__ import annotations
@@ -33,12 +35,12 @@ EVENT_LIMIT = 2**20
 raises :class:`SizeLimitError` through :func:`refuse_over_limit`."""
 
 
-def refuse_over_limit(what: str, count: int, unit: str = "events"):
+def refuse_over_limit(what: str, count: int):
     """Raise :class:`SizeLimitError` when ``what`` needs more than
-    :data:`EVENT_LIMIT` of ``unit``."""
+    :data:`EVENT_LIMIT` events."""
     if count > EVENT_LIMIT:
         raise SizeLimitError(
-            f"{what} needs {count} {unit}, over the limit EVENT_LIMIT = {EVENT_LIMIT}"
+            f"{what} needs {count} events, over the limit EVENT_LIMIT = {EVENT_LIMIT}"
         )
 
 
@@ -119,13 +121,18 @@ class ValidationReport:
         return ["ok"] if self.is_valid else [f"violation: {f}" for f in self.findings]
 
 
+def _refuse_foreign(entries, kinds, what: str, words: str):
+    """Raise ``TypeError`` naming the first entry that is not one of ``kinds``."""
+    for i, x in enumerate(entries):
+        if not isinstance(x, kinds):
+            raise TypeError(f"{what} {x!r} at atom {i} {words}")
+
+
 def _int_row(values):
-    """``(ints, den)`` with ``ints[a] / den == values[a]``, or None when
-    some value is not an ``int`` or a ``Fraction``."""
-    if all(isinstance(x, (int, Fraction)) for x in values):
-        ints, den = scaled_row(values)
-        return tuple(ints), den
-    return None
+    """``(ints, den)`` with ``ints[a] / den == values[a]`` for ints and
+    ``Fraction``s."""
+    ints, den = scaled_row(values)
+    return tuple(ints), den
 
 
 @dataclass(frozen=True)
@@ -134,15 +141,16 @@ class _MeasureBase:
 
     ``_masses`` maps each event asked for to its mass.  It is filled on
     demand and never changes a result, so measures still compare and hash
-    by algebra and masses only.  ``int_row`` is None here: only a
-    :class:`StdMeasure` has one.
+    by algebra and masses only.  Construction refuses a mass outside the
+    class's ``_kinds``.
     """
 
     algebra: SpaceAlgebra
     mass: tuple
     _masses: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    int_row = None
+    def __post_init__(self):
+        _refuse_foreign(self.mass, self._kinds, "mass", self._foreign)
 
     def event_mass(self, ev: Event):
         """Total mass of an event (zero element for the empty event).
@@ -152,27 +160,13 @@ class _MeasureBase:
         """
         value = self._masses.get(ev)
         if value is None:
-            row = self.int_row
-            if row is None:
-                value = sum((self.mass[i] for i in ev), start=self._zero)
-            else:
-                ints, den = row
-                value = Fraction(sum(ints[i] for i in ev), den)
-            self._masses[ev] = value
+            value = self._masses[ev] = self._sum(ev)
         return value
 
     def expectation(self, rv: "RandomVariable"):
         if rv.algebra != self.algebra:
             raise AlgebraMismatchError("random variable on a different algebra")
-        row, rv_row = self.int_row, rv.int_row
-        # Too few values raise IndexError on the Fraction route.
-        if row is not None and rv_row is not None and len(rv_row[0]) >= len(row[0]):
-            (ints, den), (vals, vden) = row, rv_row
-            return Fraction(sum(m * v for m, v in zip(ints, vals)), den * vden)
-        return sum(
-            (self.mass[i] * rv.values[i] for i in range(len(self.mass))),
-            start=self._zero,
-        )
+        return self._expectation(rv)
 
     def support(self) -> Event:
         return frozenset(i for i, m in enumerate(self.mass) if m != self._zero)
@@ -194,6 +188,8 @@ class StdMeasure(_MeasureBase):
     """Finitely additive probability with rational atom masses."""
 
     _zero = Fraction(0)
+    _kinds = (int, Fraction)
+    _foreign = "is neither int nor Fraction"
 
     @classmethod
     def from_values(cls, algebra: SpaceAlgebra, values) -> "StdMeasure":
@@ -228,22 +224,29 @@ class StdMeasure(_MeasureBase):
 
     @cached_property
     def int_row(self):
-        """``(ints, den)`` with ``ints[a] / den == mass[a]`` and ``den > 0``,
-        or None when a mass is not an ``int`` or a ``Fraction``.  Made on
-        first use over the least common denominator, unless the measure
-        was built by :meth:`from_int_row`."""
+        """``(ints, den)`` with ``ints[a] / den == mass[a]`` and ``den > 0``.
+        Made on first use over the least common denominator, unless the
+        measure was built by :meth:`from_int_row`."""
         return _int_row(self.mass)
+
+    def _sum(self, ev: Event) -> Fraction:
+        ints, den = self.int_row
+        return Fraction(sum(ints[i] for i in ev), den)
+
+    def _expectation(self, rv: "RandomVariable") -> Fraction:
+        (ints, den), (vals, vden) = self.int_row, rv.int_row
+        # A variable with too few values raises IndexError.
+        return Fraction(sum(m * vals[a] for a, m in enumerate(ints)), den * vden)
 
     def invariant_findings(self, where: str = "measure"):
         """Findings of a row that is not a probability on the atoms.
 
-        A rational row of the right length is accepted on its integers:
-        none negative and summing to the denominator.  Any other row is
-        checked mass by mass to word its findings.
+        A row of the right length is accepted on its integers: none
+        negative and summing to the denominator.  Any other row is checked
+        mass by mass to word its findings.
         """
-        row = self.int_row
-        if row is not None and len(self.mass) == self.algebra.n_atoms:
-            ints, den = row
+        if len(self.mass) == self.algebra.n_atoms:
+            ints, den = self.int_row
             if sum(ints) == den and min(ints) >= 0:
                 return []
         return self._findings_on_masses(where)
@@ -257,13 +260,6 @@ class StdMeasure(_MeasureBase):
             if m < 0:
                 out.append(f"{where}: negative mass {m} at atom {i}")
         total = sum(self.mass, start=Fraction(0))
-        if not isinstance(total, Fraction):
-            # Ints and Fractions sum to a Fraction, so some mass is neither.
-            return out + [
-                f"{where}: mass {m!r} at atom {i} is neither int nor Fraction"
-                for i, m in enumerate(self.mass)
-                if not isinstance(m, (int, Fraction))
-            ]
         if total != 1:
             out.append(f"{where}: masses sum to {total}, not 1")
         return out
@@ -273,6 +269,8 @@ class NonstdMeasure(_MeasureBase):
     """Finitely additive probability with masses in the infinitesimal field."""
 
     _zero = ZERO
+    _kinds = NonstdNumber
+    _foreign = "is not a NonstdNumber"
 
     @classmethod
     def from_values(cls, algebra: SpaceAlgebra, values) -> "NonstdMeasure":
@@ -283,18 +281,19 @@ class NonstdMeasure(_MeasureBase):
             self.algebra, tuple(m.standard_part() for m in self.mass)
         )
 
+    def _sum(self, ev: Event) -> NonstdNumber:
+        return sum((self.mass[i] for i in ev), start=ZERO)
+
+    def _expectation(self, rv: "RandomVariable") -> NonstdNumber:
+        return sum(
+            (self.mass[i] * rv.values[i] for i in range(len(self.mass))), start=ZERO
+        )
+
     def invariant_findings(self, where: str = "measure"):
         out = []
         if len(self.mass) != self.algebra.n_atoms:
             out.append(f"{where}: {len(self.mass)} masses for {self.algebra.n_atoms} atoms")
             return out
-        foreign = [
-            f"{where}: mass {m!r} at atom {i} is not a NonstdNumber"
-            for i, m in enumerate(self.mass)
-            if not isinstance(m, NonstdNumber)
-        ]
-        if foreign:
-            return foreign
         for i, m in enumerate(self.mass):
             if m.sign() < 0:
                 out.append(f"{where}: negative mass {m} at atom {i}")
@@ -313,10 +312,13 @@ class RandomVariable:
     algebra: SpaceAlgebra
     values: tuple
 
+    def __post_init__(self):
+        _refuse_foreign(self.values, (int, Fraction), "value", "is neither int nor Fraction")
+
     @cached_property
     def int_row(self):
-        """``(ints, den)`` with ``ints[a] / den == values[a]``, or None when
-        a value is not an ``int`` or a ``Fraction``; made on first use."""
+        """``(ints, den)`` with ``ints[a] / den == values[a]``; made on
+        first use."""
         return _int_row(self.values)
 
     @classmethod
@@ -362,6 +364,12 @@ class RandomVariable:
 
 def algebra_findings(algebra: SpaceAlgebra):
     out = []
+    first = {}
+    for i, w in enumerate(algebra.worlds):
+        if w in first:
+            out.append(f"worlds[{i}]: world {w!r} already at worlds[{first[w]}]")
+        else:
+            first[w] = i
     seen = {}
     covered = []
     for b, block in enumerate(algebra.atoms):

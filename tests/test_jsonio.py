@@ -206,6 +206,14 @@ class TestStrictness:
         with pytest.raises(jsonio.ParseError):
             jsonio.parse_event([7], AB)
 
+    @pytest.mark.parametrize("index", [0.9, "1", True, None, [0]])
+    def test_rejects_event_index_that_is_not_an_int(self, index):
+        doc = jsonio.encode(PopperSpace.from_rows(AB, {(0, 1): (1, 0), (1,): (0, 1)}))
+        doc["conditioning_events"][0] = [index, 1]
+        with pytest.raises(jsonio.ParseError) as err:
+            jsonio.parse_document(doc)
+        assert str(err.value) == f"event {[index, 1]!r}: bad atom index {index!r}: expected an integer"
+
     @pytest.mark.parametrize("type_name", [["lps"], {}, 1])
     def test_rejects_type_that_is_not_a_string(self, type_name):
         doc = jsonio.encode(LPS.from_rows(AB, [(1, 0)]))

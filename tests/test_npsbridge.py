@@ -444,14 +444,6 @@ class TestVerifyAeqchar:
                     verdicts[verdict] += 1
         assert min(verdicts.values()) >= 1000, verdicts
 
-    def test_float_masses_accepted(self):
-        """A system built directly with ``float`` masses (no reader builds
-        one) is judged by its schedule alone, as the embedding argument
-        holds for real masses too; no exact arithmetic touches the masses."""
-        system = LPS(AB, (StdMeasure(AB, (0.5, 0.5)), StdMeasure(AB, (1.0, 0.0))))
-        assert verify_aeqchar(system, geometric_schedule(2))
-        assert not verify_aeqchar(system, geometric_schedule(2)[::-1])
-
     def test_no_decomposition_or_equivalence(self, monkeypatch):
         calls = []
         for name in ("equivalence", "nps_to_lps"):

@@ -21,6 +21,7 @@ from extprob.errors import (
     SizeLimitError,
 )
 from extprob import popper
+from extprob.field import ONE
 from extprob.lps import LPS, classify_lps
 from extprob.popper import (
     PopperSpace,
@@ -30,7 +31,7 @@ from extprob.popper import (
     treelike_to_lps,
     validate_popper,
 )
-from extprob.spaces import NonstdMeasure, SpaceAlgebra, StdMeasure, validate_space
+from extprob.spaces import NonstdMeasure, SpaceAlgebra, StdMeasure
 
 F = Fraction
 
@@ -78,20 +79,22 @@ class TestValidate:
         report = validate_popper(space, "cps")
         assert any("CP1" in f for f in report.findings)
 
-    def test_float_masses_are_findings(self):
-        row = StdMeasure(AB, (0.5, 0.5))
-        space = PopperSpace(AB, (AB.full_event(),), {AB.full_event(): row})
-        assert validate_popper(space, "cps").findings == (
-            "conditional given [0, 1]: mass 0.5 at atom 0 is neither int nor Fraction",
-            "conditional given [0, 1]: mass 0.5 at atom 1 is neither int nor Fraction",
-        )
+    def test_float_masses_are_refused(self):
+        # A table row holds rationals only: a row of other numbers is
+        # refused when it is built, and ``from_rows`` coerces floats.
+        with pytest.raises(TypeError, match=r"^mass 0\.5 at atom 0 is neither int nor Fraction$"):
+            StdMeasure(AB, (0.5, 0.5))
+        with pytest.raises(TypeError, match=r"^mass NonstdNumber\(1/2\) at atom 1 is neither int nor Fraction$"):
+            StdMeasure(AB, (F(1, 2), ONE / 2))
+        space = PopperSpace.from_rows(AB, {(0, 1): (0.5, 0.5)})
+        assert space.table[AB.full_event()] == StdMeasure(AB, (F(1, 2), F(1, 2)))
+        assert validate_popper(space, "cps").is_valid
 
-    def test_float_nonstd_masses_are_findings(self):
-        nu = NonstdMeasure(AB, (0.5, 0.5))
-        assert validate_space(AB, [nu]).findings == (
-            "measures[0]: mass 0.5 at atom 0 is not a NonstdNumber",
-            "measures[0]: mass 0.5 at atom 1 is not a NonstdNumber",
-        )
+    def test_float_nonstd_masses_are_refused(self):
+        with pytest.raises(TypeError, match=r"^mass 0\.5 at atom 0 is not a NonstdNumber$"):
+            NonstdMeasure(AB, (0.5, 0.5))
+        with pytest.raises(TypeError, match=r"^mass Fraction\(1, 2\) at atom 0 is not a NonstdNumber$"):
+            NonstdMeasure(AB, (F(1, 2), F(1, 2)))
 
     def test_cp3_violation_reported(self):
         rows = {
@@ -401,21 +404,6 @@ class TestSlpsToPopper:
             image = slps_to_popper(system)
             assert validate_popper(image, "popper").is_valid
             assert not any("mass" in row.__dict__ for row in image.table.values())
-
-    def test_float_level_keeps_its_arithmetic(self):
-        # A level without denominators is conditioned in its own arithmetic;
-        # the rational level after it is not.
-        system = LPS(W4, (
-            StdMeasure(W4, (0.25, 0.75, 0.0, 0.0)),
-            StdMeasure(W4, (F(0), F(0), F(1, 3), F(2, 3))),
-        ))
-        got, want = slps_to_popper(system), slps_to_popper_by_condition(system)
-        assert got == want
-        assert [[type(m) for m in row.mass] for row in got.table.values()] == [
-            [type(m) for m in row.mass] for row in want.table.values()
-        ]
-        assert got.table[W4.full_event()].mass == (0.25, 0.75, 0.0, 0.0)
-        assert got.table[W4.event({2, 3})].mass == (0, 0, F(1, 3), F(2, 3))
 
     def test_refuses_more_events_than_the_limit(self):
         with pytest.raises(SizeLimitError, match="EVENT_LIMIT = 1048576"):

@@ -63,6 +63,15 @@ class TestValidate:
             "atoms mention unknown worlds: ['x', 'y']",
         )
 
+    def test_repeated_worlds_text_and_order(self):
+        repeated = SpaceAlgebra(("w1", "w0", "w1", (1, 2), "w0", "w1"), (("w0",), ("w1",)))
+        assert validate_space(repeated).findings == (
+            "worlds[2]: world 'w1' already at worlds[0]",
+            "worlds[4]: world 'w0' already at worlds[1]",
+            "worlds[5]: world 'w1' already at worlds[0]",
+            "worlds not covered by atoms: [(1, 2)]",
+        )
+
     def test_coarse_atoms_are_fine(self):
         coarse = SpaceAlgebra(("a", "b", "c", "d"), (("a", "b"), ("c", "d")))
         m = StdMeasure.from_values(coarse, [F(1, 4), F(3, 4)])
@@ -187,6 +196,26 @@ class TestCondition:
             m.condition(ABC.event({1, 2}))
 
 
+class TestConstruction:
+    """Each measure and random variable refuses an entry outside its field
+    when it is built; ``from_values`` coerces instead."""
+
+    def test_std_measure_refuses_a_float_mass(self):
+        with pytest.raises(TypeError, match=r"^mass 0\.5 at atom 1 is neither int nor Fraction$"):
+            StdMeasure(AB, (F(1, 2), 0.5))
+        assert StdMeasure.from_values(AB, (0.5, 0.5)) == StdMeasure.uniform(AB)
+
+    def test_nonstd_measure_refuses_a_float_mass(self):
+        with pytest.raises(TypeError, match=r"^mass 0\.5 at atom 0 is not a NonstdNumber$"):
+            NonstdMeasure(AB, (0.5, ONE - ONE / 2))
+        assert NonstdMeasure.from_values(AB, (0.5, 0.5)).mass == (ONE / 2, ONE / 2)
+
+    def test_random_variable_refuses_a_float_value(self):
+        with pytest.raises(TypeError, match=r"^value 2\.5 at atom 1 is neither int nor Fraction$"):
+            RandomVariable(AB, (1, 2.5))
+        assert RandomVariable.from_values(AB, (1, 2.5)).values == (1, F(5, 2))
+
+
 class TestFromIntRow:
     def test_mass_is_built_on_first_read(self):
         m = StdMeasure.from_int_row(ABC, (1, 0, 3), 4)
@@ -233,7 +262,8 @@ def _outcome(call, *args):
 
 class TestAgainstFractionRoute:
     """The integer row against the ``Fraction`` sums it replaced, on
-    seeded rows of every kind ``genspaces.mass_row`` draws."""
+    seeded rows of every kind ``genspaces.mass_row`` draws; a row or
+    variable with a `float` entry is refused when it is built."""
 
     def test_findings_event_masses_and_expectations(self, monkeypatch):
         fallbacks = []
@@ -246,23 +276,29 @@ class TestAgainstFractionRoute:
         monkeypatch.setattr(StdMeasure, "_findings_on_masses", recorded)
         rng = random.Random(1709)
         rows = {True: 0, False: 0}
+        refused = 0
         for k in range(1000):
             n = rng.randint(1, 5)
             algebra = algebra_of(n)
             valid, row = mass_row(rng, n)
             rows[valid] += 1
-            measure = StdMeasure(algebra, row)
-            fallbacks.clear()
-            where = f"measures[{k}]"
-            findings = measure.invariant_findings(where)
-            assert findings == invariant_findings_by_fractions(measure, where)
-            assert (findings == []) == valid
-            # A valid rational row is accepted on its integers alone.
-            assert bool(fallbacks) == (not valid)
-            for ev in [frozenset(), *algebra.events(), frozenset({n})]:
-                assert _outcome(measure.event_mass, ev) == _outcome(
-                    event_mass_by_fractions, measure, ev
-                )
+            built, measure = _outcome(StdMeasure, algebra, row)
+            assert (built is TypeError) == _has_float(row)
+            if built is TypeError:
+                refused += 1
+                assert measure == _foreign_words("mass", row)
+            else:
+                fallbacks.clear()
+                where = f"measures[{k}]"
+                findings = measure.invariant_findings(where)
+                assert findings == invariant_findings_by_fractions(measure, where)
+                assert (findings == []) == valid
+                # A valid row is accepted on its integers alone.
+                assert bool(fallbacks) == (not valid)
+                for ev in [frozenset(), *algebra.events(), frozenset({n})]:
+                    assert _outcome(measure.event_mass, ev) == _outcome(
+                        event_mass_by_fractions, measure, ev
+                    )
             values = [F(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(n)]
             draw = rng.random()
             if draw < 0.2:
@@ -274,8 +310,21 @@ class TestAgainstFractionRoute:
             elif draw < 0.5:
                 values.append(F(1))
             on = algebra if rng.random() < 0.95 else algebra_of(n + 1)
-            x = RandomVariable(on, tuple(values))
-            assert _outcome(measure.expectation, x) == _outcome(
-                expectation_by_fractions, measure, x
-            )
-        assert min(rows.values()) >= 200, rows
+            made, x = _outcome(RandomVariable, on, tuple(values))
+            assert (made is TypeError) == _has_float(values)
+            if made is TypeError:
+                assert x == _foreign_words("value", values)
+            elif built is not TypeError:
+                assert _outcome(measure.expectation, x) == _outcome(
+                    expectation_by_fractions, measure, x
+                )
+        assert min(rows.values()) >= 200 and refused >= 50, (rows, refused)
+
+
+def _has_float(entries):
+    return any(type(x) is float for x in entries)
+
+
+def _foreign_words(what, entries):
+    i, x = next((i, x) for i, x in enumerate(entries) if type(x) is float)
+    return f"{what} {x!r} at atom {i} is neither int nor Fraction"
