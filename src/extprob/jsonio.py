@@ -7,21 +7,33 @@ format_version and a type tag (a string); parse functions check structure
 of those) but leave semantic validation (mass sums, axioms) to the callers
 that need it.
 
+Rows are read straight into the integer form the library computes with.
 Each parse of a document keeps one memo, local to that parse, from a
-rational string to its ``Fraction``: rows repeat a few numbers (``"0"``,
-``"1/2"``), so each distinct string is matched against the grammar and put
-in lowest terms once, and equal entries share one immutable value.  The
-memo takes ``str`` keys only: ``True``, ``1`` and ``1.0`` are equal as
-dict keys, but only ``1`` is a rational, so any other value is parsed
-every time.  A string that fails is never stored, so a document raises the
-error of the same entry as an entry-by-entry parse would.
+rational string to its lowest-terms ``(num, den)`` integers: rows repeat a
+few numbers (``"0"``, ``"1/2"``), so each distinct string is matched
+against the grammar by :func:`parse_rational` once.  The memo takes
+``str`` keys only: ``True``, ``1`` and ``1.0`` are equal as dict keys, but
+only ``1`` is a rational, so any other value is parsed every time.  A
+string that fails is never stored, so a document raises the error of the
+same entry as an entry-by-entry parse would.  A measure's row is handed to
+:meth:`StdMeasure.from_int_row` over the least common denominator of its
+entries, and a polynomial is built from its integer pairs, so no
+``Fraction`` is made for a measure's mass until something reads it.
+
+:func:`dumps` writes a document with the bytes of ``json.dumps(doc,
+indent=2, sort_keys=True)`` plus a newline, through a small writer over
+the shapes the encoders produce (dicts with string keys, lists, strings,
+ints and bools) that encodes each string with the standard library's C
+string encoder; ``json.dumps`` with an indent runs its pure-Python encoder.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 from fractions import Fraction
+from itertools import chain
 
 from .field import EpsPolynomial, NonstdNumber
 from .lps import LPS, EquivCertificate
@@ -76,18 +88,29 @@ def parse_rational(text) -> Fraction:
         raise ParseError(f"bad rational {text!r}: {exc}") from None
 
 
-def _parse_entry(text, memo: dict) -> Fraction:
-    """``parse_rational(text)``, once per distinct string in ``memo``."""
+def _parse_pair(text, memo: dict) -> tuple:
+    """``(num, den)`` of ``parse_rational(text)`` in lowest terms, once per
+    distinct string in ``memo``."""
     if type(text) is not str:
-        return parse_rational(text)
-    q = memo.get(text)
-    if q is None:
-        q = memo[text] = parse_rational(text)
-    return q
+        q = parse_rational(text)
+        return q.numerator, q.denominator
+    pair = memo.get(text)
+    if pair is None:
+        q = parse_rational(text)
+        pair = memo[text] = q.numerator, q.denominator
+    return pair
 
 
-def _parse_row(row, memo: dict) -> tuple:
-    return tuple(_parse_entry(x, memo) for x in row)
+def _parse_int_row(row, memo: dict) -> tuple:
+    """``(ints, den)`` with ``ints[a] / den`` the rational ``row[a]``, over
+    the least common denominator of the entries."""
+    pairs = [_parse_pair(x, memo) for x in row]
+    den = math.lcm(*(d for _, d in pairs))
+    return tuple(n if d == den else n * (den // d) for n, d in pairs), den
+
+
+def _std_measure(algebra, row, memo: dict) -> StdMeasure:
+    return StdMeasure.from_int_row(algebra, *_parse_int_row(row, memo))
 
 
 def encode_nonstd(x: NonstdNumber) -> dict:
@@ -111,10 +134,15 @@ def _parse_poly(pairs, where: str, memo: dict) -> EpsPolynomial:
         if e > EXPONENT_MAX:
             raise ParseError(f"{where}: exponent {e} is above EXPONENT_MAX = {EXPONENT_MAX}")
         exps.append(e)
-        terms.append((e, _parse_entry(c, memo)))
+        num, den = _parse_pair(c, memo)
+        if num:
+            terms.append((int(e), num, den))
     if exps != sorted(set(exps)):
         raise ParseError(f"{where}: exponents must be strictly increasing")
-    return EpsPolynomial.from_pairs(terms)
+    # Over the lcm of the reduced denominators, no prime divides every
+    # numerator: the polynomial is in its canonical form.
+    den = math.lcm(*(d for _, _, d in terms))
+    return EpsPolynomial(tuple((e, n * (den // d)) for e, n, d in terms), den)
 
 
 def parse_nonstd(doc) -> NonstdNumber:
@@ -157,10 +185,17 @@ def _parse_world(w, b):
     )
 
 
+_PLAIN_WORLDS = {str, int}
+
+
 def _worlds(block, b=None) -> tuple:
-    """The worlds of the space (``b`` None) or of atom block ``b``."""
+    """The worlds of the space (``b`` None) or of atom block ``b``.  A list
+    of strings and ints is taken in one step; only a list that holds
+    something else is checked world by world."""
     if not isinstance(block, list):
         raise ParseError(f"wrongly shaped field: {_place(b)} must be a list, got {block!r}")
+    if set(map(type, block)) <= _PLAIN_WORLDS:
+        return tuple(block)
     return tuple(_parse_world(w, b) for w in block)
 
 
@@ -171,6 +206,9 @@ def parse_space(doc) -> SpaceAlgebra:
     blocks = doc["atoms"]
     if not isinstance(blocks, list):
         raise ParseError(f"wrongly shaped field: atoms must be a list, got {blocks!r}")
+    if set(map(type, blocks)) <= {list}:
+        if set(map(type, chain.from_iterable(blocks))) <= _PLAIN_WORLDS:
+            return SpaceAlgebra(worlds, tuple(map(tuple, blocks)))
     return SpaceAlgebra(worlds, tuple(_worlds(block, b) for b, block in enumerate(blocks)))
 
 
@@ -285,7 +323,7 @@ def _mass_row(doc, algebra, where):
 def parse_std_measure(doc) -> StdMeasure:
     algebra = parse_space(doc["space"])
     row = _mass_row(doc["mass"], algebra, "mass")
-    return StdMeasure(algebra, _parse_row(row, {}))
+    return _std_measure(algebra, row, {})
 
 
 def parse_nonstd_measure(doc) -> NonstdMeasure:
@@ -311,7 +349,7 @@ def parse_lps(doc) -> LPS:
     rows = []
     for i, row in enumerate(measures):
         row = _mass_row(row, algebra, f"measures[{i}]")
-        rows.append(StdMeasure(algebra, _parse_row(row, memo)))
+        rows.append(_std_measure(algebra, row, memo))
     return LPS(algebra, tuple(rows))
 
 
@@ -328,14 +366,15 @@ def parse_popper(doc) -> PopperSpace:
         if ev in table:
             raise ParseError(f"duplicate conditioning event {ev_doc}")
         row = _mass_row(row, algebra, f"table[{ev_doc}]")
-        table[ev] = StdMeasure(algebra, _parse_row(row, memo))
+        table[ev] = _std_measure(algebra, row, memo)
     return PopperSpace(algebra, tuple(table), table)
 
 
 def parse_random_variable(doc) -> RandomVariable:
     algebra = parse_space(doc["space"])
     row = _mass_row(doc["values"], algebra, "values")
-    return RandomVariable(algebra, _parse_row(row, {}))
+    memo = {}
+    return RandomVariable(algebra, tuple(Fraction(*_parse_pair(x, memo)) for x in row))
 
 
 def parse_decomposition(doc) -> Decomposition:
@@ -392,8 +431,57 @@ def parse_document(doc):
 
 
 def dumps(obj) -> str:
+    """The document of ``obj`` (or the dict ``obj``) as
+    ``json.dumps(doc, indent=2, sort_keys=True)`` writes it, plus a
+    newline."""
     doc = obj if isinstance(obj, dict) else encode(obj)
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    out = []
+    _write(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _write(value, newline: str, out: list):
+    """Append the JSON text of ``value`` to ``out``; ``newline`` is a line
+    break followed by the indentation of the line ``value`` starts on."""
+    kind = type(value)
+    if kind is str:
+        out.append(_encode_str(value))
+    elif kind is list:
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif kind is dict:
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(sep)
+            out.append(_encode_str(key))
+            out.append(": ")
+            _write(value[key], inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif kind is bool:
+        out.append("true" if value else "false")
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def read_json(path):

@@ -10,12 +10,14 @@ measure's memo of the event masses asked of it, and the integer row
 ``(ints, den)`` of a rational measure or random variable, made on first
 use.  A measure or random variable holds only its field's numbers: each
 constructor raises ``TypeError`` on a standard mass or a value that is not
-an ``int`` or a ``Fraction``, and on a nonstandard mass that is not a
-:class:`NonstdNumber` (``from_values`` coerces instead).  So every rational
-row has an integer row, and a standard measure checks its invariants, sums
-events and takes expectations on it, one ``Fraction`` per result.  A
-standard measure built from an integer row (:meth:`StdMeasure.from_int_row`)
-keeps only the row and makes its ``mass`` tuple when ``mass`` is first read.
+an ``int`` or a ``Fraction`` (a ``bool`` included), and on a nonstandard
+mass that is not a :class:`NonstdNumber` (``from_values`` coerces
+instead).  So every rational row has an integer row, and a standard
+measure checks its invariants, sums events, takes expectations and finds
+its support on it, one ``Fraction`` per result.  A standard measure built
+from an integer row (:meth:`StdMeasure.from_int_row`, as ``jsonio`` builds
+every row it reads) keeps only the row and makes its ``mass`` tuple when
+``mass`` is first read.
 """
 
 from __future__ import annotations
@@ -122,9 +124,10 @@ class ValidationReport:
 
 
 def _refuse_foreign(entries, kinds, what: str, words: str):
-    """Raise ``TypeError`` naming the first entry that is not one of ``kinds``."""
+    """Raise ``TypeError`` naming the first entry that is not one of
+    ``kinds``, or is a ``bool`` (an ``int`` that no document can hold)."""
     for i, x in enumerate(entries):
-        if not isinstance(x, kinds):
+        if not isinstance(x, kinds) or type(x) is bool:
             raise TypeError(f"{what} {x!r} at atom {i} {words}")
 
 
@@ -226,8 +229,14 @@ class StdMeasure(_MeasureBase):
     def int_row(self):
         """``(ints, den)`` with ``ints[a] / den == mass[a]`` and ``den > 0``.
         Made on first use over the least common denominator, unless the
-        measure was built by :meth:`from_int_row`."""
+        measure was built by :meth:`from_int_row` (as every parsed row is).
+        The invariant check, event masses, expectations and the support
+        read this row, so they never build ``mass``."""
         return _int_row(self.mass)
+
+    def support(self) -> Event:
+        """The atoms of nonzero mass, read from the integer row."""
+        return frozenset(i for i, x in enumerate(self.int_row[0]) if x)
 
     def _sum(self, ev: Event) -> Fraction:
         ints, den = self.int_row
@@ -239,29 +248,21 @@ class StdMeasure(_MeasureBase):
         return Fraction(sum(m * vals[a] for a, m in enumerate(ints)), den * vden)
 
     def invariant_findings(self, where: str = "measure"):
-        """Findings of a row that is not a probability on the atoms.
-
-        A row of the right length is accepted on its integers: none
-        negative and summing to the denominator.  Any other row is checked
-        mass by mass to word its findings.
-        """
-        if len(self.mass) == self.algebra.n_atoms:
-            ints, den = self.int_row
-            if sum(ints) == den and min(ints) >= 0:
-                return []
-        return self._findings_on_masses(where)
-
-    def _findings_on_masses(self, where):
-        out = []
-        if len(self.mass) != self.algebra.n_atoms:
-            out.append(f"{where}: {len(self.mass)} masses for {self.algebra.n_atoms} atoms")
-            return out
-        for i, m in enumerate(self.mass):
-            if m < 0:
-                out.append(f"{where}: negative mass {m} at atom {i}")
-        total = sum(self.mass, start=Fraction(0))
-        if total != 1:
-            out.append(f"{where}: masses sum to {total}, not 1")
+        """Findings of a row that is not a probability on the atoms, read
+        from the integer row: a wrong length, negative masses, and a sum
+        that is not one."""
+        ints, den = self.int_row
+        n = self.algebra.n_atoms
+        if len(ints) != n:
+            return [f"{where}: {len(ints)} masses for {n} atoms"]
+        out = [
+            f"{where}: negative mass {Fraction(x, den)} at atom {i}"
+            for i, x in enumerate(ints)
+            if x < 0
+        ]
+        total = sum(ints)
+        if total != den:
+            out.append(f"{where}: masses sum to {Fraction(total, den)}, not 1")
         return out
 
 

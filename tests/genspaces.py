@@ -5,6 +5,7 @@ from itertools import product
 
 from oracles import compose_by_numbers as compose
 
+from extprob import jsonio
 from extprob.field import EPS, ONE, ZERO, eps_power
 from extprob.fincof import FinCofEvent
 from extprob.lps import LPS, reduce_lps
@@ -513,3 +514,58 @@ def indep_draw(rng):
     if rng.random() < 0.2:
         x = RandomVariable.from_values(nu.algebra, [rng.randrange(3) for _ in nu.algebra.worlds])
     return nu, x, ys
+
+
+# Entries of ``parsed_document``: a few strings repeated, `int`s, and
+# values that are not rationals (each raises ParseError).
+REPEATED = ("0", "1", "1/2", "-1/2", "1/3", "2/4", "007", "-0", "3/6", "-5/10")
+MALFORMED = (True, False, 1.0, "1.0", "1/0", "0/0", None, [1], " 1", "1e3")
+
+
+def entry(rng):
+    draw = rng.random()
+    if draw < 0.2:
+        return rng.randint(-2, 3)
+    if draw < 0.26:
+        return rng.choice(MALFORMED)
+    return rng.choice(REPEATED)
+
+
+def nonstd_entry(rng):
+    den = [[0, "1"]] if rng.random() < 0.7 else [[0, entry(rng)], [1, entry(rng)]]
+    return {"num": [[e, entry(rng)] for e in sorted(rng.sample(range(3), 2))], "den": den}
+
+
+def parsed_document(rng):
+    """A document of one of the six types on 1-5 atoms, its rational
+    entries drawn by ``entry``."""
+    n = rng.randint(1, 5)
+    algebra = algebra_of(n)
+
+    def row():
+        return [entry(rng) for _ in range(n)]
+
+    space = jsonio.encode_space(algebra)
+
+    def document(type_name, **body):
+        return {"format_version": 1, "type": type_name, "space": space, **body}
+
+    def lps():
+        return document("lps", measures=[row() for _ in range(rng.randint(1, 3))])
+
+    kind = rng.randrange(6)
+    if kind == 0:
+        return document("std_measure", mass=row())
+    if kind == 1:
+        return lps()
+    if kind == 2:
+        return document("random_variable", values=row())
+    if kind == 3:
+        events = rng.sample(algebra.events(), rng.randint(1, min(4, 2**n - 1)))
+        events = [sorted(ev) for ev in events]
+        return document("popper_space", conditioning_events=events, table=[row() for _ in events])
+    if kind == 4:
+        return document("nonstd_measure", mass=[nonstd_entry(rng) for _ in range(n)])
+    doc = lps()
+    coefficients = [nonstd_entry(rng) for _ in doc["measures"]]
+    return {"format_version": 1, "type": "decomposition", "lps": doc, "coefficients": coefficients}

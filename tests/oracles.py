@@ -11,8 +11,9 @@ from fractions import Fraction
 from itertools import product
 
 from extprob.errors import AlgebraMismatchError, LengthMismatchError, SizeLimitError, UnlimitedError
+from extprob import jsonio
 from extprob.jsonio import RATIONAL_MAX_DIGITS, ParseError
-from extprob.field import ONE, ZERO, NonstdNumber, st_ratio
+from extprob.field import ONE, ZERO, EpsPolynomial, NonstdNumber, st_ratio
 from extprob.lps import LPS, EquivCertificate, _split_witness, equivalence
 from extprob.npsbridge import Decomposition, nps_to_lps
 from extprob.popper import (
@@ -26,6 +27,8 @@ from extprob.popper import (
 from extprob.spaces import (
     EVENT_LIMIT,
     NonstdMeasure,
+    RandomVariable,
+    SpaceAlgebra,
     StdMeasure,
     algebra_findings,
     refuse_over_limit,
@@ -638,6 +641,171 @@ def parse_rational_by_str(text):
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational {text!r}: {exc}") from None
 
+
+
+# ------------------------------------------------ documents read over Fractions
+#
+# The parser as it was before rows were read into integer rows: one
+# ``Fraction`` per entry (shared through a per-document memo), measures
+# built from their masses, polynomials through ``EpsPolynomial.from_pairs``
+# and every world checked on its own.
+
+
+def _fraction_by_memo(text, memo):
+    if type(text) is not str:
+        return jsonio.parse_rational(text)
+    q = memo.get(text)
+    if q is None:
+        q = memo[text] = jsonio.parse_rational(text)
+    return q
+
+
+def _fractions_of(row, memo):
+    return tuple(_fraction_by_memo(x, memo) for x in row)
+
+
+def _poly_by_fractions(pairs, where, memo):
+    if not isinstance(pairs, list):
+        raise ParseError(f"{where}: expected a list of [exponent, coefficient] pairs")
+    exps = []
+    terms = []
+    for item in pairs:
+        if not (isinstance(item, list) and len(item) == 2):
+            raise ParseError(f"{where}: bad term {item!r}")
+        e, c = item
+        if not isinstance(e, int) or e < 0:
+            raise ParseError(f"{where}: bad exponent {e!r}")
+        if e > jsonio.EXPONENT_MAX:
+            raise ParseError(f"{where}: exponent {e} is above EXPONENT_MAX = {jsonio.EXPONENT_MAX}")
+        exps.append(e)
+        terms.append((e, _fraction_by_memo(c, memo)))
+    if exps != sorted(set(exps)):
+        raise ParseError(f"{where}: exponents must be strictly increasing")
+    return EpsPolynomial.from_pairs(terms)
+
+
+def poly_by_fractions(pairs, where="num"):
+    """A polynomial's pairs read through ``Fraction`` coefficients."""
+    return _poly_by_fractions(pairs, where, {})
+
+
+def _nonstd_by_fractions(doc, memo):
+    if not isinstance(doc, dict) or set(doc) != {"num", "den"}:
+        raise ParseError(f"bad field element {doc!r}")
+    num = _poly_by_fractions(doc["num"], "num", memo)
+    den = _poly_by_fractions(doc["den"], "den", memo)
+    if den.is_zero:
+        raise ParseError("zero denominator")
+    return NonstdNumber._make(num, den)
+
+
+def _worlds_one_by_one(block, b=None):
+    if not isinstance(block, list):
+        raise ParseError(f"wrongly shaped field: {jsonio._place(b)} must be a list, got {block!r}")
+    return tuple(jsonio._parse_world(w, b) for w in block)
+
+
+def _space_by_worlds(doc):
+    if not isinstance(doc, dict) or "worlds" not in doc or "atoms" not in doc:
+        raise ParseError("space needs worlds and atoms")
+    worlds = _worlds_one_by_one(doc["worlds"])
+    blocks = doc["atoms"]
+    if not isinstance(blocks, list):
+        raise ParseError(f"wrongly shaped field: atoms must be a list, got {blocks!r}")
+    return SpaceAlgebra(worlds, tuple(_worlds_one_by_one(block, b) for b, block in enumerate(blocks)))
+
+
+def _std_by_fractions(doc):
+    algebra = _space_by_worlds(doc["space"])
+    row = jsonio._mass_row(doc["mass"], algebra, "mass")
+    return StdMeasure(algebra, _fractions_of(row, {}))
+
+
+def _nonstd_measure_by_fractions(doc):
+    algebra = _space_by_worlds(doc["space"])
+    row = jsonio._mass_row(doc["mass"], algebra, "mass")
+    memo = {}
+    masses = tuple(_nonstd_by_fractions(x, memo) for x in row)
+    degree = sum(d.degree() for d in {m.den for m in masses})
+    if degree > jsonio.EXPONENT_MAX:
+        raise ParseError(
+            f"mass: the distinct denominators have total degree {degree}, "
+            f"above EXPONENT_MAX = {jsonio.EXPONENT_MAX}"
+        )
+    return NonstdMeasure(algebra, masses)
+
+
+def _lps_by_fractions(doc):
+    algebra = _space_by_worlds(doc["space"])
+    measures = doc["measures"]
+    if not isinstance(measures, list) or not measures:
+        raise ParseError("lps needs a nonempty measure list")
+    memo = {}
+    rows = []
+    for i, row in enumerate(measures):
+        row = jsonio._mass_row(row, algebra, f"measures[{i}]")
+        rows.append(StdMeasure(algebra, _fractions_of(row, memo)))
+    return LPS(algebra, tuple(rows))
+
+
+def _popper_by_fractions(doc):
+    algebra = _space_by_worlds(doc["space"])
+    events = doc["conditioning_events"]
+    rows = doc["table"]
+    if len(events) != len(rows):
+        raise ParseError("conditioning_events and table lengths differ")
+    memo = {}
+    table = {}
+    for ev_doc, row in zip(events, rows):
+        ev = jsonio.parse_event(ev_doc, algebra)
+        if ev in table:
+            raise ParseError(f"duplicate conditioning event {ev_doc}")
+        row = jsonio._mass_row(row, algebra, f"table[{ev_doc}]")
+        table[ev] = StdMeasure(algebra, _fractions_of(row, memo))
+    return PopperSpace(algebra, tuple(table), table)
+
+
+def _random_variable_by_fractions(doc):
+    algebra = _space_by_worlds(doc["space"])
+    row = jsonio._mass_row(doc["values"], algebra, "values")
+    return RandomVariable(algebra, _fractions_of(row, {}))
+
+
+def _decomposition_by_fractions(doc):
+    system = _lps_by_fractions(doc["lps"])
+    memo = {}
+    coeffs = tuple(_nonstd_by_fractions(c, memo) for c in doc["coefficients"])
+    return Decomposition(system, coeffs)
+
+
+_PARSERS_BY_FRACTIONS = {
+    "std_measure": _std_by_fractions,
+    "nonstd_measure": _nonstd_measure_by_fractions,
+    "lps": _lps_by_fractions,
+    "popper_space": _popper_by_fractions,
+    "random_variable": _random_variable_by_fractions,
+    "decomposition": _decomposition_by_fractions,
+}
+
+
+def parse_document_by_fractions(doc):
+    """``jsonio.parse_document`` over ``Fraction`` masses: ``(type_name,
+    object)`` or the same ``ParseError``."""
+    if not isinstance(doc, dict):
+        raise ParseError("document must be a JSON object")
+    version = doc.get("format_version")
+    if version != jsonio.FORMAT_VERSION:
+        raise ParseError(f"unsupported format_version {version!r}")
+    type_name = doc.get("type")
+    parser = _PARSERS_BY_FRACTIONS.get(type_name) if isinstance(type_name, str) else None
+    if parser is None:
+        raise ParseError(f"unknown document type {type_name!r}")
+    try:
+        return type_name, parser(doc)
+    except KeyError as exc:
+        raise ParseError(f"missing field {exc}") from None
+    except TypeError as exc:
+        raise ParseError(f"wrongly shaped field: {exc}") from None
 
 # ------------------------------------------------ the field over Fractions
 

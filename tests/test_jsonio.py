@@ -1,21 +1,25 @@
 """Round-trip fidelity and strictness of the JSON encodings."""
 
+import json
 import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from genspaces import algebra_of
+from genspaces import aeq_pair, algebra_of, entry, parsed_document, random_lps, simeq_pair
 
-from extprob import jsonio
-from extprob.field import EPS, ONE
+from extprob import cli, jsonio
+from extprob._linalg import scaled_row
+from extprob.field import EPS, ONE, EpsPolynomial
 from extprob.lps import LPS, equivalence
-from extprob.npsbridge import nps_to_lps
+from extprob.npsbridge import Decomposition, lps_to_nps, nps_to_lps, nps_to_popper
 from extprob.popper import PopperSpace, slps_to_popper
 from extprob.spaces import NonstdMeasure, RandomVariable, SpaceAlgebra, StdMeasure
 
-from oracles import parse_rational_by_str
+from oracles import parse_document_by_fractions, parse_rational_by_str, poly_by_fractions
 
 F = Fraction
 
@@ -264,6 +268,24 @@ def _documents(row):
         yield type_name, doc, entries
 
 
+# Rows that mix strings, ints and entries that are not rationals.
+MIXED_ROWS = [
+    ["1", 1, "2/4", "1"],
+    [1, "1", 1, "-0"],
+    ["1", True, "1"],
+    [True, "1", "1"],
+    [1, True, "1"],
+    ["1", 1.0, "1"],
+    [1, "1", 1.0],
+    ["1", "1.0", "1"],
+    ["2/4", "1/0", "2/4"],
+    ["1/2", "1/2", None],
+    ["1", [1], "1"],
+    [False, 0, "0"],
+    [0, "0", False],
+]
+
+
 class TestRationalMemo:
     """Each parser keeps one memo per document from a rational string to
     its value; anything but a string is parsed every time."""
@@ -306,29 +328,16 @@ class TestRationalMemo:
         jsonio.parse_document(doc)
         assert sorted(matched) == ["-1", "1", "1/2"]
 
-    def test_equal_masses_share_one_value(self):
+    def test_equal_entries_give_equal_masses_and_row_integers(self):
+        """Equal entries, however written, give equal integers in the
+        parsed row and equal ``Fraction`` masses when the masses are read."""
         _, doc, _ = next(_documents(["2/4", "1/2", "2/4"]))
-        a, b, c = jsonio.parse_document(doc)[1].mass
-        assert a is c and a == b == F(1, 2) and type(a) is F
+        m = jsonio.parse_document(doc)[1]
+        (x, y, z), den = m.int_row
+        assert x == y == z and (x, den) == (1, 2)
+        assert m.mass == (F(1, 2),) * 3 and {type(v) for v in m.mass} == {F}
 
-    @pytest.mark.parametrize(
-        "row",
-        [
-            ["1", 1, "2/4", "1"],
-            [1, "1", 1, "-0"],
-            ["1", True, "1"],
-            [True, "1", "1"],
-            [1, True, "1"],
-            ["1", 1.0, "1"],
-            [1, "1", 1.0],
-            ["1", "1.0", "1"],
-            ["2/4", "1/0", "2/4"],
-            ["1/2", "1/2", None],
-            ["1", [1], "1"],
-            [False, 0, "0"],
-            [0, "0", False],
-        ],
-    )
+    @pytest.mark.parametrize("row", MIXED_ROWS)
     def test_mixed_rows_parse_entry_by_entry(self, row):
         """Values and types, or the ParseError of the first bad entry, are
         those of ``parse_rational`` on each entry in turn."""
@@ -365,3 +374,125 @@ def test_rejects_duplicate_conditioning_events():
     doc["table"].append(doc["table"][0])
     with pytest.raises(jsonio.ParseError):
         jsonio.parse_document(doc)
+
+
+def _outcome(call, *args):
+    """The result, or the exception's type and message."""
+    try:
+        return call(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _std_measures(obj):
+    """Every standard measure a parsed object holds, in document order."""
+    if isinstance(obj, StdMeasure):
+        return [obj]
+    if isinstance(obj, LPS):
+        return list(obj.measures)
+    if isinstance(obj, Decomposition):
+        return list(obj.lps.measures)
+    if isinstance(obj, PopperSpace):
+        return list(obj.table.values())
+    return []
+
+
+class TestAgainstFractionRoute:
+    """Documents read into integer rows against the parser that read each
+    entry as a ``Fraction`` (``oracles.parse_document_by_fractions``)."""
+
+    def assert_same_reading(self, doc):
+        got = _outcome(jsonio.parse_document, doc)
+        want = _outcome(parse_document_by_fractions, doc)
+        if type(want) is not tuple or type(want[0]) is not str:
+            assert got == want
+            return
+        (type_name, obj), (_, old) = got, want
+        check = cli._CHECKS[type_name]
+        assert check(obj, "cps") == check(old, "cps")
+        for m, o in zip(_std_measures(obj), _std_measures(old), strict=True):
+            # Neither the parse nor the check builds the Fraction masses.
+            assert "mass" not in m.__dict__
+            ints, den = m.int_row
+            assert (list(ints), den) == scaled_row(o.mass)
+        assert got == want
+        return type_name
+
+    def test_parsed_family(self):
+        rng = random.Random(1812)
+        read = Counter(self.assert_same_reading(parsed_document(rng)) for _ in range(600))
+        assert read[None] >= 120 and len(read) == 7, read
+
+    @pytest.mark.parametrize("row", MIXED_ROWS + [
+        ["2/4", "-0", "007", "-3/6"],
+        ["-3/6", 2, "007", -1],
+        ["0", "-0", 0, "00"],
+    ])
+    def test_rows_written_many_ways(self, row):
+        for _, doc, _ in _documents(row):
+            self.assert_same_reading(doc)
+
+    def test_polynomials_against_from_pairs(self):
+        rng = random.Random(2401)
+        shapes = Counter()
+        for _ in range(2000):
+            exps = sorted(rng.sample(range(jsonio.EXPONENT_MAX + 2), rng.randint(0, 4)))
+            if exps and rng.random() < 0.1:
+                exps[-1] = rng.choice([exps[0], -1, True, 1.5])
+            pairs = [[e, entry(rng)] for e in exps]
+            if pairs and rng.random() < 0.05:
+                pairs[0] = pairs[0][:1]
+            got = _outcome(jsonio._parse_poly, pairs, "num", {})
+            want = _outcome(poly_by_fractions, pairs)
+            assert got == want, pairs
+            if isinstance(got, EpsPolynomial):
+                assert (got.coeffs, got.den) == (want.coeffs, want.den)
+                assert {type(e) for e, _ in got.coeffs} <= {int}
+                shapes["zero" if got.is_zero else "den 1" if got.den == 1 else "den > 1"] += 1
+            else:
+                shapes["error"] += 1
+        assert min(shapes.values()) >= 100 and len(shapes) == 4, shapes
+
+
+_JSON_LEAVES = st.one_of(
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(10**80), max_value=10**80),
+    st.text(),
+    st.sampled_from(["", '"\\/\b\f\n\r\t', "\x00\x1f\x7f", "é€\U0001d11e", "\ud800"]),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda values: st.lists(values, max_size=4) | st.dictionaries(st.text(), values, max_size=4),
+    max_leaves=30,
+)
+
+
+class TestDumps:
+    """``jsonio.dumps`` writes the bytes of ``json.dumps(doc, indent=2,
+    sort_keys=True)`` and a newline."""
+
+    @settings(max_examples=200, derandomize=True, database=None)
+    @given(st.dictionaries(st.text(), _JSON_VALUES, max_size=5))
+    def test_json_values(self, doc):
+        assert jsonio.dumps(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    def test_every_encoder_on_seeded_objects(self):
+        rng = random.Random(2402)
+        objects = []
+        for _ in range(40):
+            a, b = aeq_pair(rng, max_atoms=4)
+            nu = lps_to_nps(a)
+            objects += [a, a.measures[0], nu, nps_to_lps(nu), nps_to_popper(nu), equivalence(a, b)]
+            objects.append(equivalence(a, random_lps(rng, a.algebra)))
+            objects.append(RandomVariable.from_values(a.algebra, [rng.randint(-3, 3) for _ in a.measures[0].mass]))
+            x, _ = simeq_pair(rng, max_atoms=4)
+            objects.append(x)
+        assert {type(obj) for obj in objects} == set(jsonio._ENCODERS)
+        for obj in objects:
+            assert jsonio.dumps(obj) == json.dumps(jsonio.encode(obj), indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("value", [1.5, None, (1,), {1: "a"}, {"a": [float("nan")]}])
+    def test_other_values_are_refused(self, value):
+        with pytest.raises(TypeError):
+            jsonio.dumps({"value": value} if not isinstance(value, dict) else value)

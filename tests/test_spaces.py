@@ -215,6 +215,19 @@ class TestConstruction:
             RandomVariable(AB, (1, 2.5))
         assert RandomVariable.from_values(AB, (1, 2.5)).values == (1, F(5, 2))
 
+    def test_bool_entries_are_refused(self):
+        """``True`` is an ``int`` to ``isinstance``, but no document can
+        hold it: ``jsonio`` would write ``"True"`` and refuse to read it."""
+        with pytest.raises(TypeError, match=r"^mass True at atom 0 is neither int nor Fraction$"):
+            StdMeasure(AB, (True, False))
+        with pytest.raises(TypeError, match=r"^value False at atom 1 is neither int nor Fraction$"):
+            RandomVariable(AB, (1, False))
+        with pytest.raises(TypeError, match=r"^mass True at atom 0 is not a NonstdNumber$"):
+            NonstdMeasure(AB, (True, ONE))
+        coerced = StdMeasure.from_values(AB, (True, False))
+        assert coerced == StdMeasure(AB, (F(1), F(0))) and {type(x) for x in coerced.mass} == {F}
+        assert RandomVariable.from_values(AB, (False, True)).values == (0, 1)
+
 
 class TestFromIntRow:
     def test_mass_is_built_on_first_read(self):
@@ -265,15 +278,7 @@ class TestAgainstFractionRoute:
     seeded rows of every kind ``genspaces.mass_row`` draws; a row or
     variable with a `float` entry is refused when it is built."""
 
-    def test_findings_event_masses_and_expectations(self, monkeypatch):
-        fallbacks = []
-        on_masses = StdMeasure._findings_on_masses
-
-        def recorded(measure, where):
-            fallbacks.append(measure)
-            return on_masses(measure, where)
-
-        monkeypatch.setattr(StdMeasure, "_findings_on_masses", recorded)
+    def test_findings_event_masses_and_expectations(self):
         rng = random.Random(1709)
         rows = {True: 0, False: 0}
         refused = 0
@@ -288,13 +293,14 @@ class TestAgainstFractionRoute:
                 refused += 1
                 assert measure == _foreign_words("mass", row)
             else:
-                fallbacks.clear()
                 where = f"measures[{k}]"
                 findings = measure.invariant_findings(where)
                 assert findings == invariant_findings_by_fractions(measure, where)
                 assert (findings == []) == valid
-                # A valid row is accepted on its integers alone.
-                assert bool(fallbacks) == (not valid)
+                # The integer row alone words every finding.
+                from_row = StdMeasure.from_int_row(algebra, *measure.int_row)
+                assert from_row.invariant_findings(where) == findings
+                assert "mass" not in from_row.__dict__
                 for ev in [frozenset(), *algebra.events(), frozenset({n})]:
                     assert _outcome(measure.event_mass, ev) == _outcome(
                         event_mass_by_fractions, measure, ev
